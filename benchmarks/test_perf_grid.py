@@ -12,9 +12,7 @@ layer and per-app chunk scheduling buy on top of the shared simulator.
 Scale follows the ``REPRO_BENCH_*`` knobs: ``REPRO_BENCH_LENGTH``
 (default 20000), ``REPRO_BENCH_APPS`` (default 3 here — the benchmark
 re-simulates the grid every round, so it keeps its own smaller roster
-default), ``REPRO_BENCH_JOBS`` (default: all cores) and
-``REPRO_BENCH_BACKEND`` (execution backend for the engine grid:
-``scalar``, ``columnar`` or ``compiled``; default scalar).  Like the
+default) and ``REPRO_BENCH_JOBS`` (default: all cores).  Like the
 hot-path benchmark this is a trajectory, not a gate: throughput lands in
 ``benchmark.extra_info`` and the perf-smoke job archives the JSON as
 ``BENCH_grid.json``.
@@ -26,20 +24,14 @@ import os
 import shutil
 import tempfile
 
-from repro.core.simulator import ParrotSimulator
-from repro.experiments.engine import (
-    ExperimentEngine,
-    default_jobs,
-    parse_apps,
-    resolve_run_options,
-)
+from repro.core.simulator import ParrotSimulator, RunOptions
+from repro.experiments.engine import ExperimentEngine, default_jobs, parse_apps
 from repro.models.configs import MODEL_NAMES, model_config
 from repro.workloads.suite import application, benchmark_suite
 
 LENGTH = int(os.environ.get("REPRO_BENCH_LENGTH", "20000"))
 APPS = parse_apps(os.environ.get("REPRO_BENCH_APPS", "3"))
 JOBS = default_jobs()  # honours REPRO_BENCH_JOBS, then the affinity mask
-BACKEND = resolve_run_options().backend  # honours REPRO_BENCH_BACKEND
 
 TASKS = [
     (model, app.name)
@@ -51,8 +43,8 @@ TASKS = [
 def legacy_task(model_name: str, app_name: str, length: int,
                 sampling=None) -> dict:
     """The pre-artifact worker: fresh simulator + generator walk per cell."""
-    result = ParrotSimulator(model_config(model_name)).run(
-        application(app_name), length, sampling=sampling
+    result = ParrotSimulator(model_config(model_name)).simulate(
+        application(app_name), RunOptions(sampling=sampling), length=length
     )
     return result.to_dict()
 
@@ -60,7 +52,7 @@ def legacy_task(model_name: str, app_name: str, length: int,
 def _cold_grid(workdir: str) -> dict:
     """One cold evaluation of the full grid (store off, artifacts fresh)."""
     engine = ExperimentEngine(
-        LENGTH, jobs=JOBS, backend=BACKEND,
+        LENGTH, jobs=JOBS,
         artifact_root=os.path.join(workdir, "artifacts"),
     )
     return engine.run(TASKS)
@@ -92,21 +84,21 @@ def test_cold_grid_throughput(benchmark):
             shutil.rmtree(workdir, ignore_errors=True)
 
     results = benchmark.pedantic(run, setup=setup, rounds=3, warmup_rounds=1)
-
-    # One reference round under the legacy contract for the speedup ratio.
-    legacy_seconds = _timeit(_legacy_grid)
-
-    seconds = benchmark.stats.stats.mean
     cells = len(TASKS)
-    benchmark.extra_info["cells"] = cells
-    benchmark.extra_info["jobs"] = JOBS
-    benchmark.extra_info["length"] = LENGTH
-    benchmark.extra_info["backend"] = BACKEND.value
-    benchmark.extra_info["cells_per_second"] = round(cells / seconds, 2)
-    benchmark.extra_info["legacy_seconds"] = round(legacy_seconds, 3)
-    benchmark.extra_info["speedup_vs_legacy"] = round(
-        legacy_seconds / seconds, 2
-    )
+
+    # ``--benchmark-disable`` runs the grid once and keeps no stats, so
+    # there is no mean to set the legacy reference round against.
+    if benchmark.stats is not None:
+        legacy_seconds = _timeit(_legacy_grid)
+        seconds = benchmark.stats.stats.mean
+        benchmark.extra_info["cells"] = cells
+        benchmark.extra_info["jobs"] = JOBS
+        benchmark.extra_info["length"] = LENGTH
+        benchmark.extra_info["cells_per_second"] = round(cells / seconds, 2)
+        benchmark.extra_info["legacy_seconds"] = round(legacy_seconds, 3)
+        benchmark.extra_info["speedup_vs_legacy"] = round(
+            legacy_seconds / seconds, 2
+        )
 
     assert len(results) == cells
     assert all(result.cycles > 0 for result in results.values())

@@ -10,32 +10,9 @@ Reference trajectory on the development machine (swim, TON, 100k):
 
 * pre-optimization seed: ~137k instr/s
 * after the static-structure memoization + batch-executor PR: ~455k instr/s
-* after the columnar backend (artifact replay + columnar plans):
-  ~722k instr/s full detail (2.2x the scalar generator path), and past
-  3x once sampling compounds on top (the ratios land in
-  ``extra_info`` of the columnar benchmark below).
-* after the compiled backend (per-plan generated replay functions):
-  ~1.2M instr/s full detail — 1.1-1.3x the warmed columnar stack
-  (1.30x on the archived round) and ~2.8x the scalar generator path.
-  The remaining gap to the loop-level
-  speedup (~1.7x on the replay recurrence itself) was shared
-  per-segment work — predictor training, trace-cache bookkeeping,
-  energy events — that no backend choice touches.
-* after batching that shared per-segment work
-  (``repro.pipeline.segment_batch``: compiled per-trace training plans,
-  plan-level event folds, journaled LRU refreshes): the warmed-stack
-  cProfile total dropped 0.61s -> 0.24s and the generated replay
-  functions became the largest profile phase; the archived round
-  (1.214M instr/s) edged past the previous archive on a host running
-  the scalar reference ~17% slower, i.e. the like-for-like gain is
-  larger than the headline delta.
-
-The columnar and compiled benchmarks also run interleaved reference
-rounds of the other backends so the archived JSON carries
-``speedup_vs_scalar``, ``speedup_vs_columnar`` and
-``sampled_speedup_vs_scalar`` next to the raw throughput — the parity
-suites (``tests/test_columnar.py``, ``tests/test_specialize.py``) pin
-all three backends bit-identical, so the ratios are pure-speed numbers.
+* the columnar and compiled execution backends that followed were
+  removed again: they won on this warmed single cell but not on the
+  end-to-end grid, so the scalar path above is the only one left.
 
 Scale follows ``REPRO_BENCH_LENGTH`` (default 20000) so CI can run a tiny
 smoke variant of the same benchmark.
@@ -44,27 +21,16 @@ smoke variant of the same benchmark.
 from __future__ import annotations
 
 import os
-import tempfile
-import time
 
-from repro.core.simulator import ColdPlanCache, ParrotSimulator, RunOptions
+from repro.core.simulator import ParrotSimulator, RunOptions
 from repro.models.configs import model_config
-from repro.pipeline.columnar import ExecutionBackend
-from repro.sampling.config import SamplingConfig
 from repro.workloads.suite import application
-from repro.workloads.tracefile import compile_artifact
 
 LENGTH = int(os.environ.get("REPRO_BENCH_LENGTH", "20000"))
 
 
 def _simulate(source, config, options, **kwargs):
     return ParrotSimulator(config).simulate(source, options, **kwargs)
-
-
-def _timeit(fn, *args, **kwargs) -> float:
-    start = time.perf_counter()
-    fn(*args, **kwargs)
-    return time.perf_counter() - start
 
 
 def test_single_run_throughput(benchmark):
@@ -75,126 +41,14 @@ def test_single_run_throughput(benchmark):
 
     result = benchmark(_simulate, app, config, options, length=LENGTH)
 
-    seconds = benchmark.stats.stats.mean
-    benchmark.extra_info["instructions"] = LENGTH
-    benchmark.extra_info["instructions_per_second"] = round(LENGTH / seconds)
+    # ``--benchmark-disable`` runs the function once and keeps no stats.
+    if benchmark.stats is not None:
+        seconds = benchmark.stats.stats.mean
+        benchmark.extra_info["instructions"] = LENGTH
+        benchmark.extra_info["instructions_per_second"] = round(
+            LENGTH / seconds
+        )
 
     # Sanity only — the benchmark is a trajectory, not a gate.
-    assert result.ipc > 0
-    assert result.cycles > 0
-
-
-def test_columnar_run_throughput(benchmark):
-    """The columnar stack: artifact replay + shared plans + columnar.
-
-    This times what a grid cell pays once the worker memo is warm —
-    compiled artifact, shared segment list, a populated
-    :class:`ColdPlanCache` — which is where the columnar executors run in
-    production.  The scalar reference round below walks the generator
-    path, i.e. the pre-stack cost of the same cell.
-    """
-    app = application("swim")
-    config = model_config("TON")
-
-    with tempfile.TemporaryDirectory(prefix="repro-hotpath-") as workdir:
-        artifact = compile_artifact(app, app.seed, LENGTH, root=workdir)
-        segments = artifact.segments()
-        columnar = RunOptions(
-            backend=ExecutionBackend.COLUMNAR,
-            segments=segments, cold_plans=ColdPlanCache(segments),
-        )
-        _simulate(artifact, config, columnar)  # warm plans + caches
-
-        result = benchmark(_simulate, artifact, config, columnar)
-
-        seconds = benchmark.stats.stats.mean
-        benchmark.extra_info["instructions"] = LENGTH
-        benchmark.extra_info["instructions_per_second"] = round(
-            LENGTH / seconds
-        )
-
-        # Reference rounds for the archived ratios: the scalar generator
-        # path (what test_single_run_throughput times) and the sampled
-        # regime compounding on top of the columnar stack.
-        scalar_seconds = min(
-            _timeit(_simulate, app, config, RunOptions(), length=LENGTH)
-            for _ in range(3)
-        )
-        sampled = RunOptions(
-            sampling=SamplingConfig(), backend=ExecutionBackend.COLUMNAR
-        )
-        sampled_seconds = min(
-            _timeit(_simulate, artifact, config, sampled) for _ in range(3)
-        )
-        benchmark.extra_info["speedup_vs_scalar"] = round(
-            scalar_seconds / seconds, 2
-        )
-        benchmark.extra_info["sampled_speedup_vs_scalar"] = round(
-            scalar_seconds / sampled_seconds, 2
-        )
-
-    assert result.ipc > 0
-    assert result.cycles > 0
-
-
-def test_compiled_run_throughput(benchmark):
-    """The compiled stack: artifact replay + per-plan generated code.
-
-    Same warmed-cell shape as the columnar benchmark above, with the
-    specialized backend doing the replay.  The reference rounds run the
-    columnar stack and the scalar generator path interleaved in the same
-    process, so ``speedup_vs_columnar`` / ``speedup_vs_scalar`` are
-    same-machine-state ratios rather than cross-process noise.
-    """
-    app = application("swim")
-    config = model_config("TON")
-
-    with tempfile.TemporaryDirectory(prefix="repro-hotpath-") as workdir:
-        artifact = compile_artifact(app, app.seed, LENGTH, root=workdir)
-        segments = artifact.segments()
-        cold_plans = ColdPlanCache(segments)
-        compiled = RunOptions(
-            backend=ExecutionBackend.COMPILED,
-            segments=segments, cold_plans=cold_plans,
-        )
-        columnar = RunOptions(
-            backend=ExecutionBackend.COLUMNAR,
-            segments=segments, cold_plans=cold_plans,
-        )
-        _simulate(artifact, config, compiled)  # warm plans + caches
-        _simulate(artifact, config, columnar)
-
-        result = benchmark(_simulate, artifact, config, compiled)
-
-        seconds = benchmark.stats.stats.mean
-        benchmark.extra_info["instructions"] = LENGTH
-        benchmark.extra_info["instructions_per_second"] = round(
-            LENGTH / seconds
-        )
-
-        # Reference rounds alternate backends: sustained load drifts CPU
-        # frequency, so measuring each backend in its own block would
-        # credit whichever ran while the machine was fastest.
-        compiled_seconds = columnar_seconds = scalar_seconds = float("inf")
-        for _ in range(3):
-            compiled_seconds = min(
-                compiled_seconds, _timeit(_simulate, artifact, config,
-                                          compiled)
-            )
-            columnar_seconds = min(
-                columnar_seconds, _timeit(_simulate, artifact, config,
-                                          columnar)
-            )
-            scalar_seconds = min(
-                scalar_seconds, _timeit(_simulate, app, config,
-                                        RunOptions(), length=LENGTH)
-            )
-        benchmark.extra_info["speedup_vs_columnar"] = round(
-            columnar_seconds / compiled_seconds, 2
-        )
-        benchmark.extra_info["speedup_vs_scalar"] = round(
-            scalar_seconds / compiled_seconds, 2
-        )
-
     assert result.ipc > 0
     assert result.cycles > 0

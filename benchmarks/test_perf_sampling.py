@@ -2,9 +2,8 @@
 
 Times one full build of the differential accuracy frontier — every
 golden pair at full detail, under fixed-interval sampling and under the
-tuned adaptive regime, on both execution backends, over compiled
-artifacts — and archives every :meth:`PairAccuracy.to_row` row in
-``benchmark.extra_info``.  The perf-smoke job folds this into
+tuned adaptive regime, over compiled artifacts — and archives every
+:meth:`PairAccuracy.to_row` row in ``benchmark.extra_info``.  The perf-smoke job folds this into
 ``BENCH_grid.json``, so the repository keeps a dated record of where
 each (speedup, IPC error, EPI error) point sits as the sampler evolves.
 
@@ -24,7 +23,6 @@ import tempfile
 import warnings
 
 from repro.errors import SamplingWarning
-from repro.pipeline.columnar import ExecutionBackend
 from repro.sampling.accuracy import (
     GOLDEN_PAIRS,
     AccuracyHarness,
@@ -34,24 +32,15 @@ from repro.sampling.config import SamplingConfig
 
 LENGTH = int(os.environ.get("REPRO_BENCH_SAMPLING_LENGTH", "200000"))
 
-BACKENDS = (ExecutionBackend.SCALAR, ExecutionBackend.COLUMNAR)
-
-
 def _frontier(root: str) -> dict:
-    """One full frontier build: fixed + adaptive per backend."""
-    results = {}
+    """One full frontier build: fixed + adaptive."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SamplingWarning)
-        for backend in BACKENDS:
-            harness = AccuracyHarness(
-                length=LENGTH, backend=backend,
-                source="artifact", root=root,
-            )
-            results[backend] = {
-                "fixed": harness.sweep(SamplingConfig()),
-                "adaptive": harness.sweep(SamplingConfig.adaptive()),
-            }
-    return results
+        harness = AccuracyHarness(length=LENGTH, source="artifact", root=root)
+        return {
+            "fixed": harness.sweep(SamplingConfig()),
+            "adaptive": harness.sweep(SamplingConfig.adaptive()),
+        }
 
 
 def test_sampling_frontier(benchmark):
@@ -68,25 +57,16 @@ def test_sampling_frontier(benchmark):
 
     rows = [
         result.to_row()
-        for backend in BACKENDS
         for mode in ("fixed", "adaptive")
-        for result in results[backend][mode]
+        for result in results[mode]
     ]
-    adaptive = [
-        result
-        for backend in BACKENDS
-        for result in results[backend]["adaptive"]
-    ]
+    adaptive = results["adaptive"]
     benchmark.extra_info["length"] = LENGTH
     benchmark.extra_info["pairs"] = [f"{a}:{m}" for a, m in GOLDEN_PAIRS]
     benchmark.extra_info["frontier"] = rows
     benchmark.extra_info["adaptive_speedup"] = round(
         aggregate_speedup(adaptive), 2
     )
-    for backend in BACKENDS:
-        benchmark.extra_info[f"adaptive_speedup_{backend.value}"] = round(
-            aggregate_speedup(results[backend]["adaptive"]), 2
-        )
     benchmark.extra_info["worst_adaptive_ipc_error"] = round(
         max(r.ipc_error for r in adaptive), 5
     )
@@ -94,5 +74,5 @@ def test_sampling_frontier(benchmark):
         max(r.epi_error for r in adaptive), 5
     )
 
-    assert len(rows) == 2 * 2 * len(GOLDEN_PAIRS)
+    assert len(rows) == 2 * len(GOLDEN_PAIRS)
     assert all(r.estimate.mode == "adaptive" for r in adaptive)

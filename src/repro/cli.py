@@ -43,8 +43,6 @@ from repro.experiments.shard import (
     run_shard,
 )
 from repro.models.configs import MODEL_NAMES, model_config
-from repro.pipeline.columnar import ExecutionBackend
-from repro.pipeline.specialize import CompiledPlanCache
 from repro.workloads.suite import ALL_APPS, application, benchmark_suite
 from repro.workloads.tracefile import ArtifactCache
 
@@ -52,9 +50,9 @@ _EXAMPLES = """\
 examples:
   repro run swim --model TON --length 20000
   repro run swim --model TON --length 200000 --sampling
-  repro run swim --model TON --backend compiled
-  repro profile swim TON --length 20000 --backend columnar
+  repro profile swim TON --length 20000
   repro sweep --models N,TON --apps 15 --jobs 4
+  repro sweep --models all --apps 8
   repro sweep --models N,TON --length 200000 --sampling
   repro figure fig4_1 headline --apps all
   repro figure fig4_2 --no-cache
@@ -71,8 +69,6 @@ environment:
   REPRO_BENCH_CACHE=0                     disable the result store
   REPRO_BENCH_SAMPLING                    default sampling regime (off)
   REPRO_BENCH_ARTIFACTS=0                 disable compiled trace artifacts
-  REPRO_BENCH_BACKEND                     default execution backend (scalar)
-  REPRO_COMPILED_CACHE=0                  disable the compiled-plan disk cache
   REPRO_CACHE_DIR                         store location (~/.cache/repro)
 """
 
@@ -135,18 +131,6 @@ def _add_run_option_args(parser: argparse.ArgumentParser) -> None:
              "'DETAIL:GAP:WARMUP[:FUNC_WARM][:CONFIDENCE]' "
              "(default: REPRO_BENCH_SAMPLING or off)",
     )
-    _add_backend_arg(parser)
-
-
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", default=None,
-        choices=[b.value for b in ExecutionBackend],
-        help="batch executor for planned segments; all backends are "
-             "bit-identical, columnar is faster, compiled (per-plan "
-             "generated code) is fastest "
-             "(default: REPRO_BENCH_BACKEND or scalar)",
-    )
 
 
 def _progress(done: int, total: int, label: str, source: str) -> None:
@@ -177,10 +161,7 @@ def _print_engine_summary(runner: ExperimentRunner) -> None:
 
 def _options_from_args(args: argparse.Namespace) -> RunOptions:
     """Per-run options from CLI flags (the shared parsing seam)."""
-    return resolve_run_options(
-        getattr(args, "sampling", None),
-        getattr(args, "backend", None),
-    )
+    return resolve_run_options(getattr(args, "sampling", None))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -226,10 +207,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.profiling import profile_run
 
     try:
-        report = profile_run(
-            args.app, args.model, args.length,
-            backend=_options_from_args(args).backend,
-        )
+        report = profile_run(args.app, args.model, args.length)
     except KeyError:
         print(f"unknown application {args.app!r}; run `repro list` to see "
               f"the {len(ALL_APPS)} available applications", file=sys.stderr)
@@ -243,7 +221,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Sweep models x applications; print an IPC/energy/CMPW table."""
-    models = args.models.split(",")
+    models = _parse_model_list(args.models)
+    if models is None:
+        models = list(MODEL_NAMES)
     unknown = [m for m in models if m not in MODEL_NAMES]
     if unknown:
         print(f"unknown model(s) {', '.join(unknown)}; known: "
@@ -293,10 +273,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or clear the result store, artifact and compiled-plan caches."""
+    """Inspect or clear the result store and the artifact cache."""
     store = ResultStore()
     artifacts = ArtifactCache()
-    plans = CompiledPlanCache()
     if args.action == "info":
         info = store.info()
         print(f"store     {info.path}")
@@ -312,28 +291,16 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(f"  schema    v{ainfo.schema_version}")
         if ainfo.stale_tmp:
             print(f"  swept     {ainfo.stale_tmp} stale tmp dir(s)")
-        pinfo = plans.info()
-        print(f"plans     {pinfo.path}")
-        print(f"  compiled  {pinfo.entries}")
-        print(f"  size      {pinfo.total_bytes} bytes")
-        print(f"  schema    v{pinfo.schema_version}")
-        if pinfo.quarantined:
-            print(f"  quarantined {pinfo.quarantined} corrupt/stale entr"
-                  f"{'y' if pinfo.quarantined == 1 else 'ies'}")
-        if pinfo.stale_tmp:
-            print(f"  swept     {pinfo.stale_tmp} stale tmp file(s)")
     else:  # clear
         removed = store.clear()
         print(f"removed {removed} stored result(s) from {store.root}")
         swept = artifacts.clear()
         print(f"removed {swept} compiled artifact(s) from {artifacts.root}")
-        dropped = plans.clear()
-        print(f"removed {dropped} compiled plan(s) from {plans.root}")
     return 0
 
 
 def _parse_model_list(text: str) -> list[str] | None:
-    """``all`` -> None (full roster); otherwise a validated name list."""
+    """``all`` -> None (full roster); otherwise the listed names."""
     if text.strip().lower() in ("all", "full"):
         return None
     return [name.strip() for name in text.split(",") if name.strip()]
@@ -349,7 +316,6 @@ def cmd_shard_plan(args: argparse.Namespace) -> int:
             length=args.length,
             shards=args.shards,
             sampling=options.sampling,
-            backend=options.backend,
         )
     except ExperimentError as exc:
         print(exc, file=sys.stderr)
@@ -358,8 +324,7 @@ def cmd_shard_plan(args: argparse.Namespace) -> int:
     sampling = ("off" if plan.sampling is None
                 else plan.sampling.fingerprint())
     print(f"planned {len(plan.cells)} cells over {len(plan.shards)} "
-          f"shard(s) (length {plan.length}, sampling {sampling}, "
-          f"backend {plan.backend.value})")
+          f"shard(s) (length {plan.length}, sampling {sampling})")
     for index, shard in enumerate(plan.shards):
         apps = len({app for _, app in shard})
         print(f"  shard {index + 1}/{len(plan.shards)}: {len(shard)} "
@@ -482,11 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="functions shown in the self-time table")
     profile.add_argument("--output", default="repro-profile.pstats",
                          metavar="FILE", help="cProfile dump destination")
-    _add_backend_arg(profile)
     profile.set_defaults(func=cmd_profile)
 
     sweep = sub.add_parser("sweep", help="sweep models over applications")
-    sweep.add_argument("--models", default="N,TON")
+    sweep.add_argument("--models", default="N,TON",
+                       help="comma-separated model names, or 'all'")
     _add_scale_args(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

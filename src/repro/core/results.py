@@ -25,10 +25,9 @@ from repro.trace.tid import TraceId
 #: v2: hot-path rework (batched executors, per-TID plan caches) — results
 #: are parity-checked bit-identical, but stored records predating the
 #: parity gate are retired rather than trusted.
-#: v3: the simulate()/RunOptions API unification and the columnar batch
-#: executor.  Run keys now derive from RunOptions (sampling + prewarm;
-#: the backend is excluded — scalar and columnar are pinned bit-identical
-#: by the golden parity suite), so pre-unification records are retired.
+#: v3: the simulate()/RunOptions API unification.  Run keys now derive
+#: from RunOptions (sampling + prewarm), so pre-unification records are
+#: retired.
 SCHEMA_VERSION = 3
 
 

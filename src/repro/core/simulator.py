@@ -51,19 +51,6 @@ from repro.frontend.branch_predictor import BranchPredictor
 from repro.frontend.fetch import FetchParams, plan_cold_groups, trace_fetch_cycles
 from repro.frontend.trace_predictor import TracePredictor
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.pipeline.columnar import (
-    ExecutionBackend,
-    compile_cold_columnar,
-    compile_hot_columnar,
-    run_cold_columnar,
-    run_hot_columnar,
-)
-from repro.pipeline.specialize import (
-    compile_cold_specialized,
-    compile_hot_specialized,
-    run_cold_compiled,
-    run_hot_compiled,
-)
 from repro.pipeline.core import TimingCore, compile_plan_stats, compile_uop_row
 from repro.pipeline.segment_batch import compile_hot_training, run_hot_training
 from repro.pipeline.resources import ExecProfile
@@ -164,13 +151,11 @@ class _Machine:
         "background",
         "cold_plans",
         "last_pipeline",
-        "backend",
     )
 
     def __init__(self, config, events, result, core, hot_profile,
                  cold_profile, hierarchy, bpred, tpred, background,
-                 cold_plans=None,
-                 backend: ExecutionBackend = ExecutionBackend.SCALAR):
+                 cold_plans=None):
         self.config = config
         self.events = events
         self.result = result
@@ -185,13 +170,12 @@ class _Machine:
         # segment's instruction path, which a *complete* segment's TID
         # fully determines; incomplete tail segments can alias a real TID
         # and are never cached.  Private per run by default; the artifact
-        # fast path passes a dict shared by every model with the same
-        # fetch parameters over the same segment list.
+        # fast path passes a :class:`ColdPlanCache` dict shared by every
+        # model with the same fetch parameters over the same segment list.
         self.cold_plans: dict[TraceId, tuple] = (
             {} if cold_plans is None else cold_plans
         )
         self.last_pipeline = "cold"
-        self.backend = backend
 
 
 @dataclass(slots=True)
@@ -221,44 +205,21 @@ class RunOptions:
     * ``prewarm`` — start the memory hierarchy in steady state (the
       paper's 30-100M-instruction traces amortise compulsory misses; our
       much shorter runs must not be dominated by them);
-    * ``backend`` — which batch executor evaluates planned segments (see
-      :class:`~repro.pipeline.columnar.ExecutionBackend`); both are
-      bit-identical, columnar is faster;
     * ``segments`` — a precomputed segment partition of an artifact's
       stream (full-detail artifact runs only): segmentation is a pure
       function of the committed stream, so one partition is shared across
       every model simulating the same artifact;
     * ``cold_plans`` — a shared :class:`ColdPlanCache` over those
-      segments (or, deprecated, a bare per-(segment-list, fetch) dict);
+      segments;
     * ``estimate`` — return the :class:`SampledRun` (result + confidence
       intervals) instead of just the extrapolated result.
     """
 
     sampling: SamplingConfig | None = None
     prewarm: bool = True
-    backend: ExecutionBackend = ExecutionBackend.SCALAR
     segments: Sequence[TraceSegment] | None = None
-    cold_plans: "ColdPlanCache | dict | None" = None
+    cold_plans: "ColdPlanCache | None" = None
     estimate: bool = False
-
-    def fingerprint(self) -> str:
-        """Result-affecting identity, for persistent run keys.
-
-        Covers exactly the fields that select *what result is computed*:
-        the sampling plan and prewarming.  ``backend`` is included for
-        attributability (both backends are bit-identical, but a cached
-        row should name the executor that produced it); ``segments`` /
-        ``cold_plans`` are caches of pure functions of the stream and
-        ``estimate`` only changes the return shape, so none of them
-        belong in the key.
-        """
-        sampling = (
-            "off" if self.sampling is None else self.sampling.fingerprint()
-        )
-        return (
-            f"sampling={sampling}|prewarm={int(self.prewarm)}"
-            f"|backend={self.backend.value}"
-        )
 
 
 class ColdPlanCache:
@@ -267,36 +228,34 @@ class ColdPlanCache:
     Cold fetch-group plans are pure functions of (segment instruction
     path, fetch parameters), and complete segments are keyed by TID — so
     models with equal :class:`~repro.frontend.fetch.FetchParams` replaying
-    the *same* segment list can share compiled plans.  The historical
-    sharing contract was a docstring warning on ``run_artifact``: pass a
-    fresh dict per (application, fetch-parameter) pair, or TID aliasing
-    between applications could silently serve a stale plan.
+    the *same* segment list can share compiled plans.  Sharing one plan
+    dict across applications would be wrong: TIDs alias between streams,
+    so a stale plan could be served silently.
 
-    This class turns that contract into code.  The cache holds a strong
-    reference to the segment list it was built over (list identity is the
-    fingerprint — segment lists are never copied on the sharing paths),
-    and :meth:`plans_for` refuses to serve plans for any other list.
-    Plans are further partitioned by (fetch parameters, backend), so one
-    cache instance can cover a whole model grid over one artifact.
+    The cache therefore holds a strong reference to the segment list it
+    was built over (list identity is the fingerprint — segment lists are
+    never copied on the sharing paths), and :meth:`plans_for` refuses to
+    serve plans for any other list.  Plans are further partitioned by
+    fetch parameters, so one cache instance can cover a whole model grid
+    over one artifact.
     """
 
     __slots__ = ("segments", "_plans")
 
     def __init__(self, segments: Sequence[TraceSegment]):
         self.segments = segments
-        self._plans: dict[tuple, dict[TraceId, tuple]] = {}
+        self._plans: dict[FetchParams, dict[TraceId, tuple]] = {}
 
     def plans_for(
         self,
         segments: Sequence[TraceSegment],
         fetch: FetchParams,
-        backend: ExecutionBackend,
     ) -> dict[TraceId, tuple]:
-        """The shared plan dict for one (segment list, fetch, backend).
+        """The shared plan dict for one (segment list, fetch parameters).
 
         Raises :class:`~repro.errors.SimulationError` if ``segments`` is
         not the very list this cache was built over — the cross-stream
-        aliasing case the old contract could not detect.
+        aliasing case.
         """
         if segments is not self.segments:
             raise SimulationError(
@@ -304,7 +263,7 @@ class ColdPlanCache:
                 "TID aliasing across streams could serve a stale plan — "
                 "build one ColdPlanCache per segment list"
             )
-        return self._plans.setdefault((fetch, backend), {})
+        return self._plans.setdefault(fetch, {})
 
 
 #: What :meth:`ParrotSimulator.simulate` accepts as a source: an
@@ -340,11 +299,11 @@ class ParrotSimulator:
         hierarchy, ``length`` is required only for sampled runs), or a
         compiled :class:`~repro.workloads.tracefile.TraceArtifact` (which
         carries its own length, labels and prewarm image).  All three are
-        bit-identical over the same dynamic stream, as are both execution
-        backends — pinned by the golden parity suite.
+        bit-identical over the same dynamic stream — pinned by the golden
+        parity suite.
 
         ``options`` is a :class:`RunOptions`; ``None`` means the defaults
-        (full detail, prewarmed, scalar backend).  Returns the
+        (full detail, prewarmed).  Returns the
         :class:`~repro.core.results.SimulationResult`, or the
         :class:`SampledRun` (result + confidence intervals) when
         ``options.estimate`` is set.
@@ -431,17 +390,16 @@ class ParrotSimulator:
             )
 
         if sampled:
-            run = self._run_sampled(
+            run = self._simulate_sampled(
                 stream, total, sampling,
                 app_name=name, suite=suite_name, prewarm=image,
-                backend=options.backend,
             )
             return run if options.estimate else run.result
 
         plans = self._resolve_cold_plans(label, options, segments)
         machine = self._assemble(
             app_name=name, suite=suite_name, prewarm=image,
-            cold_plans=plans, backend=options.backend,
+            cold_plans=plans,
         )
         if segments is not None:
             self._execute_segments(machine, iter(segments))
@@ -474,117 +432,22 @@ class ParrotSimulator:
         """The machine's cold-plan dict under ``options`` (None = private).
 
         A :class:`ColdPlanCache` is validated against the segment list and
-        partitioned by (fetch parameters, backend); a bare dict is the
-        deprecated unvalidated contract, accepted scalar-only.
+        partitioned by fetch parameters.
         """
         cold_plans = options.cold_plans
         if cold_plans is None:
             return None
-        if isinstance(cold_plans, ColdPlanCache):
-            if segments is None:
-                raise SimulationError(
-                    f"{label}: a shared ColdPlanCache needs the matching "
-                    f"segments list in the same RunOptions"
-                )
-            return cold_plans.plans_for(
-                segments, self.config.fetch, options.backend
+        if not isinstance(cold_plans, ColdPlanCache):
+            raise SimulationError(
+                f"{label}: cold_plans must be a ColdPlanCache, "
+                f"not {type(cold_plans).__name__}"
             )
-        if isinstance(cold_plans, dict):
-            if options.backend is not ExecutionBackend.SCALAR:
-                raise SimulationError(
-                    f"{label}: bare cold-plan dicts predate backends and "
-                    f"are scalar-only; share a ColdPlanCache instead"
-                )
-            return cold_plans
-        raise SimulationError(
-            f"{label}: cold_plans must be a ColdPlanCache or dict, "
-            f"not {type(cold_plans).__name__}"
-        )
-
-    # -- deprecated entry points (thin shims over simulate()) --------------
-
-    def run(
-        self,
-        app: Application,
-        length: int,
-        *,
-        prewarm: bool = True,
-        sampling: SamplingConfig | None = None,
-    ) -> SimulationResult:
-        """Deprecated: ``simulate(app, RunOptions(...), length=...)``."""
-        warnings.warn(
-            "ParrotSimulator.run() is deprecated; use "
-            "simulate(app, RunOptions(...), length=...)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.simulate(
-            app, RunOptions(sampling=sampling, prewarm=prewarm),
-            length=length,
-        )
-
-    def run_sampled(
-        self,
-        app: Application,
-        length: int,
-        *,
-        prewarm: bool = True,
-        sampling: SamplingConfig | None = None,
-    ) -> SampledRun:
-        """Deprecated: ``simulate`` with ``RunOptions(estimate=True)``."""
-        warnings.warn(
-            "ParrotSimulator.run_sampled() is deprecated; use "
-            "simulate(app, RunOptions(sampling=..., estimate=True), "
-            "length=...)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.simulate(
-            app,
-            RunOptions(sampling=sampling, prewarm=prewarm, estimate=True),
-            length=length,
-        )
-
-    def run_stream(
-        self, stream: InstructionStream, *, app_name: str = "custom",
-        suite: str = "Custom", program: Program | None = None,
-    ) -> SimulationResult:
-        """Deprecated: ``simulate(stream, app_name=..., program=...)``."""
-        warnings.warn(
-            "ParrotSimulator.run_stream() is deprecated; use "
-            "simulate(stream, app_name=..., suite=..., program=...)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.simulate(
-            stream, app_name=app_name, suite=suite, program=program
-        )
-
-    def run_artifact(
-        self,
-        artifact,
-        *,
-        sampling: SamplingConfig | None = None,
-        segments: Sequence[TraceSegment] | None = None,
-        prewarm: bool = True,
-        cold_plans: dict[TraceId, tuple] | None = None,
-    ) -> SimulationResult:
-        """Deprecated: ``simulate(artifact, RunOptions(...))``."""
-        warnings.warn(
-            "ParrotSimulator.run_artifact() is deprecated; use "
-            "simulate(artifact, RunOptions(segments=..., cold_plans=...))",
-            DeprecationWarning, stacklevel=2,
-        )
-        resolved = sampling if sampling is not None else self.config.sampling
-        if resolved is not None:
-            # Historical behaviour: the sampled artifact path silently
-            # ignored shared caches (simulate() rejects the combination).
-            segments = None
-            cold_plans = None
-        return self.simulate(
-            artifact,
-            RunOptions(
-                sampling=sampling, prewarm=prewarm,
-                segments=segments, cold_plans=cold_plans,
-            ),
-        )
+        if segments is None:
+            raise SimulationError(
+                f"{label}: a shared ColdPlanCache needs the matching "
+                f"segments list in the same RunOptions"
+            )
+        return cold_plans.plans_for(segments, self.config.fetch)
 
     # -- machine assembly ------------------------------------------------------
 
@@ -611,14 +474,12 @@ class ParrotSimulator:
         suite: str,
         prewarm: tuple | None,
         cold_plans: dict[TraceId, tuple] | None = None,
-        backend: ExecutionBackend = ExecutionBackend.SCALAR,
     ) -> _Machine:
         """Build every structure of one run: core, hierarchy, predictors.
 
         ``cold_plans`` seeds the machine's cold-plan cache with a shared
         dict (see :meth:`simulate`); by default every machine gets a
-        private one.  ``backend`` selects the batch executor for planned
-        segments.
+        private one.
         """
         config = self.config
         events = EventCounts()
@@ -666,7 +527,6 @@ class ParrotSimulator:
         return _Machine(
             config, events, result, core, hot_profile, cold_profile,
             hierarchy, bpred, tpred, background, cold_plans=cold_plans,
-            backend=backend,
         )
 
     def _energy_model(self) -> EnergyModel:
@@ -716,7 +576,6 @@ class ParrotSimulator:
         tpred = machine.tpred
         background = machine.background
         cold_plans = machine.cold_plans
-        backend = machine.backend
 
         # Segment-loop events accumulate in locals and fold into
         # ``events`` once per call — per-plan reductions, like the
@@ -777,8 +636,7 @@ class ParrotSimulator:
                             core.stall_fetch(1)
                         core.set_profile(hot_profile)
                         self._execute_hot(
-                            core, hierarchy, result, trace, segment,
-                            backend,
+                            core, hierarchy, result, trace, segment
                         )
                         n_hot_frames += 1
                         if trace.optimized and trace.virtual_renames:
@@ -825,8 +683,7 @@ class ParrotSimulator:
                     core.stall_fetch(1)
                 core.set_profile(cold_profile)
                 n_groups, n_cold_cti, n_misp = self._execute_cold(
-                    core, hierarchy, bpred, result, segment,
-                    cold_plans, backend,
+                    core, hierarchy, bpred, result, segment, cold_plans
                 )
                 if n_groups:
                     if not n_fetch_cycle:
@@ -894,7 +751,7 @@ class ParrotSimulator:
 
     # -- sampled regime --------------------------------------------------------
 
-    def _run_sampled(
+    def _simulate_sampled(
         self,
         stream: InstructionStream,
         length: int,
@@ -903,16 +760,14 @@ class ParrotSimulator:
         app_name: str,
         suite: str,
         prewarm: tuple | None = None,
-        backend: ExecutionBackend = ExecutionBackend.SCALAR,
     ) -> SampledRun:
         if sampling is not None and sampling.mode == "adaptive":
             return self._run_adaptive(
                 stream, length, sampling,
                 app_name=app_name, suite=suite, prewarm=prewarm,
-                backend=backend,
             )
         machine = self._assemble(
-            app_name=app_name, suite=suite, prewarm=prewarm, backend=backend,
+            app_name=app_name, suite=suite, prewarm=prewarm,
         )
         model = self._energy_model()
         if sampling is not None:
@@ -1004,7 +859,6 @@ class ParrotSimulator:
         app_name: str,
         suite: str,
         prewarm: tuple | None = None,
-        backend: ExecutionBackend = ExecutionBackend.SCALAR,
     ) -> SampledRun:
         """Phase-aware sampled run: detail only where the phase needs it.
 
@@ -1028,14 +882,13 @@ class ParrotSimulator:
                 SamplingWarning,
                 stacklevel=2,
             )
-            return self._run_sampled(
+            return self._simulate_sampled(
                 stream, length, sampling.as_fixed(),
                 app_name=app_name, suite=suite, prewarm=prewarm,
-                backend=backend,
             )
 
         machine = self._assemble(
-            app_name=app_name, suite=suite, prewarm=prewarm, backend=backend,
+            app_name=app_name, suite=suite, prewarm=prewarm,
         )
         model = self._energy_model()
         warmup_policy = WarmupPolicy(
@@ -1305,7 +1158,6 @@ class ParrotSimulator:
         result: SimulationResult,
         trace: Trace,
         segment: TraceSegment,
-        backend: ExecutionBackend = ExecutionBackend.SCALAR,
     ) -> None:
         """Execute a correctly predicted trace on the hot pipeline.
 
@@ -1318,52 +1170,22 @@ class ParrotSimulator:
         # boundaries and uop rows are static per trace (uops never change
         # once installed; optimization installs a new Trace).  One group of
         # ``trace_uops`` rows streams from the trace cache per cycle.
-        # Each backend caches its own plan shape on the trace; hot plans
-        # are machine-private (traces live in this machine's trace cache),
-        # so the columnar/compiled plans may bake this core's front-end
-        # depth (and, for compiled, the hot profile's widths).
-        if backend is ExecutionBackend.COMPILED:
-            plan = trace._hot_plan_compiled
-            if plan is None:
-                rows = [compile_uop_row(uop) for uop in uops]
-                plan = compile_hot_specialized(
-                    rows, self.config.fetch.trace_uops, self.config.core
-                )
-                trace._hot_plan_compiled = plan
-            run_hot_compiled(
-                core, plan, segment.instructions,
-                hierarchy.load_latency, hierarchy.store_access,
-            )
-        elif backend is ExecutionBackend.COLUMNAR:
-            plan = trace._hot_plan_columnar
-            if plan is None:
-                rows = [compile_uop_row(uop) for uop in uops]
-                plan = compile_hot_columnar(
-                    rows, self.config.fetch.trace_uops,
-                    self.config.core.front_depth,
-                )
-                trace._hot_plan_columnar = plan
-            run_hot_columnar(
-                core, plan, segment.instructions,
-                hierarchy.load_latency, hierarchy.store_access,
-            )
-        else:
-            plan = trace._hot_plan
-            if plan is None:
-                per_cycle = self.config.fetch.trace_uops
-                rows = [compile_uop_row(uop) for uop in uops]
-                groups = [
-                    tuple(rows[i:i + per_cycle])
-                    for i in range(0, len(rows), per_cycle)
-                ]
-                plan = (groups, *compile_plan_stats(rows))
-                trace._hot_plan = plan
-            core.run_hot_plan(
-                plan,
-                segment.instructions,
-                hierarchy.load_latency,
-                hierarchy.store_access,
-            )
+        plan = trace._hot_plan
+        if plan is None:
+            per_cycle = self.config.fetch.trace_uops
+            rows = [compile_uop_row(uop) for uop in uops]
+            groups = [
+                tuple(rows[i:i + per_cycle])
+                for i in range(0, len(rows), per_cycle)
+            ]
+            plan = (groups, *compile_plan_stats(rows))
+            trace._hot_plan = plan
+        core.run_hot_plan(
+            plan,
+            segment.instructions,
+            hierarchy.load_latency,
+            hierarchy.store_access,
+        )
         trace.exec_count += 1
         stats = result.trace_stats
         stats.hot_executions += 1
@@ -1470,66 +1292,30 @@ class ParrotSimulator:
         result: SimulationResult,
         segment: TraceSegment,
         cold_plans: dict[TraceId, tuple],
-        backend: ExecutionBackend = ExecutionBackend.SCALAR,
     ) -> tuple[int, int, int]:
         """Execute a segment on the cold pipeline (icache fetch + decode).
 
-        ``cold_plans`` caches whichever plan shape the machine's backend
-        replays; shared dicts are already partitioned by backend
-        (:class:`ColdPlanCache`), private ones serve a single backend.
-        Returns ``(n_groups, n_cti, n_misp)`` — the plan-level event
+        ``cold_plans`` caches the compiled plans of complete segments by
+        TID.  Returns ``(n_groups, n_cti, n_misp)`` — the plan-level event
         totals the segment loop folds into its batched counters.
         """
         instructions = segment.instructions
         complete_segment = segment.complete
         plan = cold_plans.get(segment.tid) if complete_segment else None
-        if backend is ExecutionBackend.COMPILED:
-            if plan is None:
-                plan = compile_cold_specialized(
-                    instructions, self.config.fetch
-                )
-                if complete_segment:
-                    cold_plans[segment.tid] = plan
-            n_misp = run_cold_compiled(
-                core, plan, instructions,
-                hierarchy.fetch_latency,
-                hierarchy.load_latency,
-                hierarchy.store_access,
-                bpred.predict_and_train,
-            )
-            _fn, _probes, n_uops, n_groups, n_cti = plan
-        elif backend is ExecutionBackend.COLUMNAR:
-            if plan is None:
-                plan = compile_cold_columnar(instructions, self.config.fetch)
-                if complete_segment:
-                    cold_plans[segment.tid] = plan
-            n_misp = run_cold_columnar(
-                core, plan, instructions,
-                hierarchy.fetch_latency,
-                hierarchy.load_latency,
-                hierarchy.store_access,
-                bpred.predict_and_train,
-            )
-            n_groups = len(plan[1])
-            n_uops = plan[0]
-            n_cti = plan[6]
-        else:
-            if plan is None:
-                plan = self._compile_cold_plan(
-                    instructions, self.config.fetch
-                )
-                if complete_segment:
-                    cold_plans[segment.tid] = plan
-            n_misp = core.run_cold_plan(
-                plan,
-                instructions,
-                hierarchy.fetch_latency,
-                hierarchy.load_latency,
-                hierarchy.store_access,
-                bpred.predict_and_train,
-            )
-            groups, n_uops, _n_reads, _n_writes, _fu_counts, n_cti = plan
-            n_groups = len(groups)
+        if plan is None:
+            plan = self._compile_cold_plan(instructions, self.config.fetch)
+            if complete_segment:
+                cold_plans[segment.tid] = plan
+        n_misp = core.run_cold_plan(
+            plan,
+            instructions,
+            hierarchy.fetch_latency,
+            hierarchy.load_latency,
+            hierarchy.store_access,
+            bpred.predict_and_train,
+        )
+        groups, n_uops, _n_reads, _n_writes, _fu_counts, n_cti = plan
+        n_groups = len(groups)
         result.uops_cold += n_uops
         if n_cti:
             result.cold_branch_predictions += n_cti

@@ -17,8 +17,7 @@ The store key is a SHA-256 digest over the full model configuration
 dataclass tree), the application name, its generator seed, the run length,
 :data:`~repro.core.results.SCHEMA_VERSION` and the run regime carried by
 :class:`~repro.core.simulator.RunOptions` (sampling fingerprint, prewarm
-when disabled; the execution backend is excluded — all three backends
-are pinned bit-identical) — any change to a model parameter, a workload
+when disabled) — any change to a model parameter, a workload
 profile seed or the result schema silently keys to fresh entries, so
 stale records can never be served.
 
@@ -29,14 +28,14 @@ call, so a worker resolves the application's compiled trace artifact
 (:class:`~repro.workloads.tracefile.ArtifactCache`), its shared segment
 partition and a :class:`~repro.core.simulator.ColdPlanCache` over it once,
 and replays them for every model in the chunk (models with equal fetch
-parameters and backend share compiled cold plans through the cache).
+parameters share compiled cold plans through the cache).
 Workers are reused processes, so per-worker memos also amortise model
 configs, simulators and applications across everything a worker executes.
 
 Scale knobs (application count, run length, worker count, cache on/off,
-artifact cache on/off, sampling regime, execution backend) are unified in
-the :class:`Scale` dataclass; :func:`resolve_run_options` is the single
-seam where sampling/backend specs from the environment
+artifact cache on/off, sampling regime) are unified in the
+:class:`Scale` dataclass; :func:`resolve_run_options` is the single
+seam where sampling specs from the environment
 (``REPRO_BENCH_*``) or CLI arguments become a
 :class:`~repro.core.simulator.RunOptions`.
 """
@@ -64,7 +63,6 @@ from repro.core.results import SCHEMA_VERSION, SimulationResult
 from repro.core.simulator import ColdPlanCache, ParrotSimulator, RunOptions
 from repro.errors import ExperimentError
 from repro.models.configs import MODEL_NAMES, model_config
-from repro.pipeline.columnar import ExecutionBackend
 from repro.sampling.config import SamplingConfig
 from repro.workloads.suite import Application, app_seed, application
 from repro.workloads.tracefile import ArtifactCache, TraceArtifact
@@ -78,7 +76,6 @@ ENV_TIMEOUT = "REPRO_BENCH_TIMEOUT"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_SAMPLING = "REPRO_BENCH_SAMPLING"
 ENV_ARTIFACTS = "REPRO_BENCH_ARTIFACTS"
-ENV_BACKEND = "REPRO_BENCH_BACKEND"
 
 DEFAULT_APPS = 15
 DEFAULT_LENGTH = 20_000
@@ -131,45 +128,27 @@ def _env_flag(name: str, default: bool = True) -> bool:
     return raw.strip().lower() not in ("0", "false", "no", "off", "")
 
 
-def parse_backend(spec: str | None) -> ExecutionBackend:
-    """Parse an execution-backend spec (``scalar``/``columnar``/``compiled``).
-
-    ``None`` or an empty string selects the scalar reference backend.
-    """
-    if spec is None:
-        return ExecutionBackend.SCALAR
-    text = str(spec).strip().lower()
-    if not text:
-        return ExecutionBackend.SCALAR
-    try:
-        return ExecutionBackend(text)
-    except ValueError:
-        choices = ", ".join(b.value for b in ExecutionBackend)
-        raise ValueError(
-            f"unknown execution backend {spec!r}; choose from: {choices}"
-        ) from None
-
-
 def resolve_run_options(
     sampling_spec: str | None = None,
     backend_spec: str | None = None,
 ) -> RunOptions:
-    """Parse user-facing regime specs into a :class:`RunOptions`.
+    """Parse a user-facing sampling spec into a :class:`RunOptions`.
 
     The single spec-parsing seam shared by the CLI, the engine and the
     benchmark runner: ``sampling_spec`` follows
     :meth:`~repro.sampling.config.SamplingConfig.parse` (falling back to
-    ``REPRO_BENCH_SAMPLING``), ``backend_spec`` follows
-    :func:`parse_backend` (falling back to ``REPRO_BENCH_BACKEND``).
+    ``REPRO_BENCH_SAMPLING``).  ``backend_spec`` remains for callers
+    written when the simulator had several execution backends; only
+    ``None`` and ``"scalar"``, the one remaining path, are accepted.
     """
+    if backend_spec is not None and backend_spec != "scalar":
+        raise ValueError(
+            f"unknown execution backend {backend_spec!r}; the simulator "
+            f"has one execution path (scalar)"
+        )
     if sampling_spec is None:
         sampling_spec = os.environ.get(ENV_SAMPLING)
-    if backend_spec is None:
-        backend_spec = os.environ.get(ENV_BACKEND)
-    return RunOptions(
-        sampling=SamplingConfig.parse(sampling_spec),
-        backend=parse_backend(backend_spec),
-    )
+    return RunOptions(sampling=SamplingConfig.parse(sampling_spec))
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,11 +159,9 @@ class Scale:
     44-app roster), ``length`` the instructions simulated per application,
     ``jobs`` the process-pool width, ``cache`` whether runs are served
     from / written to the persistent result store, ``sampling`` the
-    sampled-simulation regime (``None`` = full detail), ``artifacts``
+    sampled-simulation regime (``None`` = full detail), and ``artifacts``
     whether runs ingest compiled trace artifacts instead of re-walking the
-    workload generator per cell, and ``backend`` the batch executor
-    evaluating planned segments (scalar reference, or its bit-identical
-    columnar and compiled twins).
+    workload generator per cell.
     """
 
     apps: int | None = DEFAULT_APPS
@@ -193,11 +170,10 @@ class Scale:
     cache: bool = True
     sampling: SamplingConfig | None = None
     artifacts: bool = True
-    backend: ExecutionBackend = ExecutionBackend.SCALAR
 
     def run_options(self) -> RunOptions:
         """The per-run regime knobs as a :class:`RunOptions`."""
-        return RunOptions(sampling=self.sampling, backend=self.backend)
+        return RunOptions(sampling=self.sampling)
 
     @classmethod
     def from_environment(cls) -> "Scale":
@@ -208,9 +184,8 @@ class Scale:
         (``0`` disables the result store), ``REPRO_BENCH_SAMPLING``
         (``off``/``on``/``D:G:W[:F][:CONF]``; see
         :meth:`~repro.sampling.config.SamplingConfig.parse`),
-        ``REPRO_BENCH_ARTIFACTS`` (``0`` disables the artifact fast path)
-        and ``REPRO_BENCH_BACKEND``
-        (``scalar``/``columnar``/``compiled``).
+        and ``REPRO_BENCH_ARTIFACTS`` (``0`` disables the artifact fast
+        path).
         """
         options = resolve_run_options()
         return cls(
@@ -220,23 +195,18 @@ class Scale:
             cache=_env_flag(ENV_CACHE),
             sampling=options.sampling,
             artifacts=_env_flag(ENV_ARTIFACTS),
-            backend=options.backend,
         )
 
     @classmethod
     def from_args(cls, args: Any) -> "Scale":
         """Resolve from parsed CLI arguments (``--apps/--length/--jobs/
-        --no-cache/--sampling/--no-artifacts/--backend``); unset
-        ``--jobs`` falls back to the environment, and absent
-        ``--sampling``/``--backend`` fall back to
-        ``REPRO_BENCH_SAMPLING``/``REPRO_BENCH_BACKEND``."""
+        --no-cache/--sampling/--no-artifacts``); unset ``--jobs`` falls
+        back to the environment, and an absent ``--sampling`` falls back
+        to ``REPRO_BENCH_SAMPLING``."""
         jobs = getattr(args, "jobs", None)
         no_cache = bool(getattr(args, "no_cache", False))
         no_artifacts = bool(getattr(args, "no_artifacts", False))
-        options = resolve_run_options(
-            getattr(args, "sampling", None),
-            getattr(args, "backend", None),
-        )
+        options = resolve_run_options(getattr(args, "sampling", None))
         return cls(
             apps=parse_apps(args.apps),
             length=args.length,
@@ -244,7 +214,6 @@ class Scale:
             cache=not no_cache and _env_flag(ENV_CACHE),
             sampling=options.sampling,
             artifacts=not no_artifacts and _env_flag(ENV_ARTIFACTS),
-            backend=options.backend,
         )
 
 
@@ -278,9 +247,7 @@ def run_key(
     ``options`` accepts either a bare :class:`SamplingConfig` (historical
     call shape) or a full :class:`RunOptions`.  Of the run options, only
     the result-affecting regime knobs enter the key: sampling always,
-    prewarm when disabled.  The execution *backend* is deliberately
-    excluded — scalar, columnar and compiled are pinned bit-identical by
-    the golden parity suite, so any backend may serve a stored cell.
+    prewarm when disabled.
     """
     prewarm = True
     if isinstance(options, RunOptions):
@@ -662,7 +629,7 @@ def _worker_artifact(
     for every model — but only in full-detail mode (``want_segments``);
     sampled runs drive their own interval schedule off the stream.  The
     :class:`~repro.core.simulator.ColdPlanCache` is bound to that segment
-    list and partitions plans by (fetch parameters, backend); it lives and
+    list and partitions plans by fetch parameters; it lives and
     dies with the entry, so plans can never leak across applications.
     """
     memo_key = (str(cache.root), app_name, length)
@@ -689,7 +656,6 @@ def simulate_task(
     app_name: str,
     length: int,
     sampling: SamplingConfig | None = None,
-    backend: ExecutionBackend = ExecutionBackend.SCALAR,
 ) -> dict:
     """Worker entry point: run one grid cell, return its serialized result.
 
@@ -702,7 +668,7 @@ def simulate_task(
     """
     result = _worker_simulator(model_name).simulate(
         _worker_application(app_name),
-        RunOptions(sampling=sampling, backend=backend),
+        RunOptions(sampling=sampling),
         length=length,
     )
     return result.to_dict()
@@ -714,7 +680,6 @@ def simulate_chunk(
     sampling: SamplingConfig | None = None,
     artifact_root: str | None = None,
     task_fn: Callable[..., dict] | None = None,
-    backend: ExecutionBackend = ExecutionBackend.SCALAR,
 ) -> dict:
     """Worker entry point: run a chunk of grid cells in one pool call.
 
@@ -742,7 +707,7 @@ def simulate_chunk(
     if artifact_root is None:
         return {
             "results": [
-                simulate_task(model, app, length, sampling, backend)
+                simulate_task(model, app, length, sampling)
                 for model, app in cells
             ],
             "artifact_hits": 0,
@@ -758,8 +723,7 @@ def simulate_chunk(
         result = _worker_simulator(model_name).simulate(
             artifact,
             RunOptions(
-                sampling=sampling, backend=backend,
-                segments=segments, cold_plans=plan_cache,
+                sampling=sampling, segments=segments, cold_plans=plan_cache,
             ),
         )
         results.append(result.to_dict())
@@ -808,7 +772,6 @@ class ExperimentEngine:
         sampling: SamplingConfig | None = None,
         artifacts: bool = True,
         artifact_root: str | Path | None = None,
-        backend: ExecutionBackend = ExecutionBackend.SCALAR,
         shard: str | None = None,
     ):
         if timeout is None:
@@ -822,7 +785,6 @@ class ExperimentEngine:
         self.task_fn = task_fn
         self.mp_context = mp_context
         self.sampling = sampling
-        self.backend = backend
         self.shard = shard
         self.artifact_cache = ArtifactCache(artifact_root) if artifacts else None
         self.simulations_run = 0
@@ -978,16 +940,14 @@ class ExperimentEngine:
                     result = simulator.simulate(
                         artifact,
                         RunOptions(
-                            sampling=self.sampling, backend=self.backend,
+                            sampling=self.sampling,
                             segments=segments, cold_plans=plan_cache,
                         ),
                     )
                 else:
                     result = simulator.simulate(
                         application(app_name),
-                        RunOptions(
-                            sampling=self.sampling, backend=self.backend,
-                        ),
+                        RunOptions(sampling=self.sampling),
                         length=self.length,
                     )
                 results[(model_name, app_name)] = result
@@ -1077,7 +1037,6 @@ class ExperimentEngine:
                 pool.submit(
                     simulate_chunk, chunk, self.length, self.sampling,
                     artifact_root=root, task_fn=custom,
-                    backend=self.backend,
                 ): (f"chunk {index + 1}/{len(chunks)}", chunk)
                 for index, chunk in enumerate(chunks)
             }

@@ -17,7 +17,6 @@ shape, and the full 44-application roster is one knob away.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +31,6 @@ from repro.experiments.engine import (
     ResultStore,
     Scale,
 )
-from repro.pipeline.columnar import ExecutionBackend
 from repro.sampling.config import SamplingConfig
 from repro.workloads.suite import Application, application, benchmark_suite
 
@@ -42,23 +40,7 @@ __all__ = [
     "ENV_APPS",
     "ENV_LENGTH",
     "ExperimentRunner",
-    "bench_scale",
 ]
-
-
-def bench_scale() -> tuple[int | None, int]:
-    """Deprecated: use :meth:`Scale.from_environment` instead.
-
-    Kept as a shim for callers of the pre-engine API; returns the old
-    ``(max_apps, length)`` pair.
-    """
-    warnings.warn(
-        "bench_scale() is deprecated; use Scale.from_environment()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    scale = Scale.from_environment()
-    return scale.apps, scale.length
 
 
 @dataclass
@@ -71,8 +53,7 @@ class ExperimentRunner:
     every run to sampled simulation (keyed separately in the store);
     ``artifacts=False`` disables the compiled-trace-artifact fast path
     (``artifact_dir`` overrides where artifacts live, default beside the
-    result store); ``backend`` selects the batch executor (scalar
-    reference or its bit-identical columnar twin).  The default
+    result store).  The default
     construction — serial, no disk store, full detail — behaves exactly
     like the historical in-process runner apart from the artifact fast
     path, which is bit-identical by construction.
@@ -88,7 +69,6 @@ class ExperimentRunner:
     sampling: SamplingConfig | None = None
     artifacts: bool = True
     artifact_dir: str | Path | None = None
-    backend: ExecutionBackend = ExecutionBackend.SCALAR
     _memo: dict[tuple[str, str], SimulationResult] = field(
         default_factory=dict, repr=False
     )
@@ -105,7 +85,6 @@ class ExperimentRunner:
             sampling=self.sampling,
             artifacts=self.artifacts,
             artifact_root=self.artifact_dir,
-            backend=self.backend,
         )
 
     @classmethod
@@ -118,7 +97,6 @@ class ExperimentRunner:
             cache=scale.cache,
             sampling=scale.sampling,
             artifacts=scale.artifacts,
-            backend=scale.backend,
             **kwargs,
         )
 

@@ -58,12 +58,12 @@ from repro.experiments.engine import (
     run_key,
 )
 from repro.models.configs import MODEL_NAMES, model_config
-from repro.pipeline.columnar import ExecutionBackend
 from repro.sampling.config import SamplingConfig
 from repro.workloads.suite import application, benchmark_suite
 
 #: Version of the serialized plan format itself (not the result schema).
-PLAN_VERSION = 1
+#: v2 dropped the execution-backend field from the payload and digest.
+PLAN_VERSION = 2
 
 
 # -- deterministic partitioning ----------------------------------------------
@@ -115,8 +115,8 @@ class ShardPlan:
     """A deterministic, content-keyed partition of one experiment grid.
 
     The plan pins everything a shard's results depend on: the cell list
-    per shard, the run length, the sampling regime, the execution
-    backend and the result schema version.  :meth:`digest` additionally
+    per shard, the run length, the sampling regime and the result schema
+    version.  :meth:`digest` additionally
     folds in every cell's run key — computed from the *local* model
     configurations — so :meth:`from_dict` on a host whose configs or
     schema differ from the planner's fails loudly instead of silently
@@ -126,7 +126,6 @@ class ShardPlan:
     length: int
     shards: tuple[tuple[Task, ...], ...]
     sampling: SamplingConfig | None = None
-    backend: ExecutionBackend = ExecutionBackend.SCALAR
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
@@ -162,7 +161,6 @@ class ShardPlan:
             "schema_version": self.schema_version,
             "length": self.length,
             "sampling": sampling,
-            "backend": self.backend.value,
             "shards": [
                 [list(task) for task in shard] for shard in self.shards
             ],
@@ -205,7 +203,6 @@ class ShardPlan:
                     None if sampling_fields is None
                     else SamplingConfig(**sampling_fields)
                 ),
-                backend=ExecutionBackend(payload["backend"]),
                 schema_version=schema,
             )
         except ExperimentError:
@@ -256,7 +253,6 @@ def plan_grid(
     length: int,
     shards: int,
     sampling: SamplingConfig | None = None,
-    backend: ExecutionBackend = ExecutionBackend.SCALAR,
 ) -> ShardPlan:
     """Plan an (application x model) grid as ``shards`` work units.
 
@@ -290,7 +286,6 @@ def plan_grid(
         shards=tuple(tuple(shard)
                      for shard in partition_tasks(tasks, shards)),
         sampling=sampling,
-        backend=backend,
     )
 
 
@@ -339,7 +334,6 @@ def run_shard(
         jobs=jobs,
         store=store,
         sampling=plan.sampling,
-        backend=plan.backend,
         artifacts=artifacts,
         artifact_root=artifact_root,
         progress=progress,

@@ -1,6 +1,5 @@
 """Out-of-order execution core substrate: resources and cycle-level timing."""
 
-from repro.pipeline.columnar import ExecutionBackend
 from repro.pipeline.core import TimingCore
 from repro.pipeline.resources import (
     CoreParams,
@@ -14,7 +13,6 @@ from repro.pipeline.resources import (
 __all__ = [
     "CoreParams",
     "ExecProfile",
-    "ExecutionBackend",
     "TimingCore",
     "narrow_core_params",
     "narrow_fu_counts",

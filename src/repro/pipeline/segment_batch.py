@@ -1,11 +1,10 @@
-"""Batched per-segment bookkeeping shared by all three execution backends.
+"""Batched per-segment bookkeeping around the timing core's plan replay.
 
-PR 8 took the replay recurrence out of interpreted dispatch, which left
-the *backend-shared* per-segment work — retire-time branch-predictor
-training, trace-predictor bookkeeping, LRU refreshes in the trace cache
-and hotness filters, and per-segment energy-event accounting — as the
-dominant cost of the full-detail profile.  This module is the layer that
-amortizes it:
+Besides replaying planned segments, the full-detail simulator pays
+per-segment work — retire-time branch-predictor training,
+trace-predictor bookkeeping, LRU refreshes in the trace cache and
+hotness filters, and per-segment energy-event accounting.  This module
+is the layer that amortizes it:
 
 * :func:`compile_hot_training` / :func:`run_hot_training` replay a hot
   trace's retire-time branch training as one planned batch.  A trace's
@@ -32,9 +31,8 @@ amortizes it:
   the affected journal entries.  The applied order is exactly the eager
   order: residents are re-ranked by their *last* journaled access.
 
-The simulator's segment loop (``_execute_segments``) drives this layer
-identically for the scalar, columnar and compiled backends, and folds
-the remaining per-segment event traffic (trace-cache frame reads,
+The simulator's segment loop (``_execute_segments``) drives this layer,
+and folds the remaining per-segment event traffic (trace-cache frame reads,
 filter accesses, cold fetch/decode/predictor totals) into plan-level
 reductions whose static parts come from the compiled plans themselves.
 """
@@ -62,9 +60,8 @@ def compile_hot_training(instructions, history_bits: int):
     ``instructions`` is the committed dynamic path of the trace (the
     same representative execution the trace's uops were built from —
     per-TID path identity is the invariant all hot plans share).
-    ``history_bits`` is the owning machine's gshare history width; like
-    the compiled backend's baked widths, it makes the plan
-    machine-private, which hot plans already are.
+    ``history_bits`` is the owning machine's gshare history width; it
+    makes the plan machine-private, which hot plans already are.
 
     Returns ``(cond_ops, others, n_cti, final_shift, final_prefix,
     vec)`` where ``cond_ops`` is one ``(xor, shift, prefix, taken)``

@@ -20,9 +20,8 @@ import pstats
 import time
 from dataclasses import dataclass, field
 
-from repro.core.simulator import ParrotSimulator, RunOptions
+from repro.core.simulator import ParrotSimulator
 from repro.models.configs import model_config
-from repro.pipeline.columnar import ExecutionBackend
 from repro.workloads.suite import application
 
 #: Ordered (phase, path fragments) buckets; first match wins.  Paths are
@@ -31,16 +30,10 @@ from repro.workloads.suite import application
 _PHASE_BUCKETS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("walk", ("workloads/stream", "workloads/behaviors", "random.py")),
     ("select", ("trace/selection", "trace/tid")),
-    # Generated replay functions carry the pseudo-filename
-    # ``<repro-compiled:HASH>`` (one per plan); fold every exec'd frame
-    # plus the specializer's wrappers into a single phase instead of
-    # scattering per-hash rows through the table.
-    ("replay(compiled)", ("<repro-compiled", "pipeline/specialize")),
     # The batched per-segment bookkeeping (predictor-training plans,
     # lazy-LRU flushes) gets its own row so the shared-overhead share
     # the batching attacked stays visible in `repro profile`.
     ("segment-batch", ("pipeline/segment_batch",)),
-    ("columnar", ("pipeline/columnar",)),
     ("execute", ("pipeline/core", "pipeline/resources")),
     ("memory", ("memory/",)),
     ("frontend", ("frontend/",)),
@@ -142,23 +135,19 @@ def profile_run(
     app_name: str,
     model_name: str,
     length: int = 20_000,
-    backend: ExecutionBackend = ExecutionBackend.SCALAR,
 ) -> ProfileReport:
     """Profile one simulation and attribute its time to phases.
 
     The simulator is constructed outside the profiled region (model
     configuration is one-time setup, not hot-path), so the report isolates
-    the per-run cost the optimization work targets.  ``backend`` selects
-    the batch executor; columnar runs surface their executor time under
-    the ``columnar`` phase, compiled runs under ``replay(compiled)``.
+    the per-run cost the optimization work targets.
     """
     app = application(app_name)
     simulator = ParrotSimulator(model_config(model_name))
-    options = RunOptions(backend=backend)
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    result = simulator.simulate(app, options, length=length)
+    result = simulator.simulate(app, length=length)
     profiler.disable()
     elapsed = time.perf_counter() - start
     stats = pstats.Stats(profiler)

@@ -13,12 +13,12 @@ speedup/error frontier into ``BENCH_grid.json``
 sampling sections all come from here.
 
 Baselines are like-for-like: the full-detail reference runs on the *same*
-source (generator stream or compiled trace artifact) and the same
-execution backend as the sampled run it is compared against, so the
-reported speedup isolates the sampling regime and never conflates it with
-artifact-replay or backend acceleration.  Estimates are deterministic —
-only the wall-clock timings vary between repeats, so ``repeat`` takes a
-best-of timing while the accuracy numbers come from the first run.
+source (generator stream or compiled trace artifact) as the sampled run
+it is compared against, so the reported speedup isolates the sampling
+regime and never conflates it with artifact-replay acceleration.
+Estimates are deterministic — only the wall-clock timings vary between
+repeats, so ``repeat`` takes a best-of timing while the accuracy numbers
+come from the first run.
 
 Speedup protocol: every sampling speedup this repository has quoted since
 the PR 4 fixed-interval table was measured fresh-process — the full-detail
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from repro.core.simulator import ParrotSimulator, RunOptions
 from repro.errors import ConfigurationError
 from repro.models.configs import model_config
-from repro.pipeline.columnar import ExecutionBackend
 from repro.sampling.config import SamplingConfig
 from repro.sampling.estimator import SampledEstimate
 from repro.workloads.suite import application
@@ -66,7 +65,7 @@ ERROR_BOUNDS = {"ipc": 0.02, "epi": 0.05}
 
 #: Aggregate wall-clock speedup floor of the tuned adaptive regime over
 #: full detail on the golden pairs (sum of full times / sum of sampled
-#: times, like-for-like source and backend).
+#: times, like-for-like source).
 ADAPTIVE_SPEEDUP_FLOOR = 12.0
 
 
@@ -92,7 +91,6 @@ class PairAccuracy:
     app: str
     model: str
     length: int
-    backend: str
     source: str
     sampling: SamplingConfig
     full_ipc: float
@@ -149,7 +147,6 @@ class PairAccuracy:
             "app": self.app,
             "model": self.model,
             "length": self.length,
-            "backend": self.backend,
             "source": self.source,
             "mode": self.sampling.mode,
             "sampling": self.sampling.fingerprint(),
@@ -172,7 +169,7 @@ class PairAccuracy:
         """Multi-line human report of this pair (harness output)."""
         est = self.estimate
         lines = [
-            f"{self.app}/{self.model} [{self.source}/{self.backend}]:",
+            f"{self.app}/{self.model} [{self.source}]:",
             (f"  intervals {self.measured_intervals:3d}"
              + (f" over {self.phase_count} phases"
                 if est.mode == "adaptive" else "")
@@ -203,16 +200,17 @@ class AccuracyHarness:
     user-facing path); ``source="artifact"`` compiles each pair's stream
     into a trace artifact under ``root`` once and replays it for both the
     reference and the sampled run — the regression suite uses artifacts so
-    its many configurations share one compile.  ``backend`` is an
-    :class:`~repro.pipeline.columnar.ExecutionBackend` (or ``None`` for
-    the scalar default) applied to both sides of every comparison.
-    ``cold_reference=True`` times each full-detail reference in a fresh
-    interpreter instead of in-process (see the module docstring on the
-    speedup protocol); the reference *values* always come from an
-    in-process run.
+    its many configurations share one compile.  ``cold_reference=True``
+    times each full-detail reference in a fresh interpreter instead of
+    in-process (see the module docstring on the speedup protocol); the
+    reference *values* always come from an in-process run.  Cold
+    references are re-timed by every :meth:`evaluate`, one child per
+    round, interleaved with the sampled runs: both sides of a ratio are
+    then best-of over the same stretch of wall-clock time, so a burst of
+    host load cannot land on one side only.
     """
 
-    def __init__(self, *, length: int = GOLDEN_LENGTH, backend=None,
+    def __init__(self, *, length: int = GOLDEN_LENGTH,
                  source: str = "generator", root=None, repeat: int = 1,
                  cold_reference: bool = False):
         if source not in ("generator", "artifact"):
@@ -226,17 +224,13 @@ class AccuracyHarness:
         if repeat < 1:
             raise ConfigurationError(f"repeat must be >= 1, got {repeat}")
         self.length = length
-        self.backend = backend if backend is not None else ExecutionBackend.SCALAR
         self.source = source
         self.root = root
         self.repeat = repeat
         self.cold_reference = cold_reference
         self._artifacts: dict[str, object] = {}
-        self._references: dict[tuple[str, str], tuple[object, float]] = {}
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.value
+        self._references: dict[tuple[str, str],
+                               tuple[object, float | None]] = {}
 
     def _source_for(self, app_name: str):
         """The simulation source of one app under the configured mode."""
@@ -251,10 +245,13 @@ class AccuracyHarness:
         return artifact
 
     def _run(self, app_name: str, model_name: str,
-             sampling: SamplingConfig | None):
-        """One timed simulation; returns ``(result, best_seconds)``."""
+             sampling: SamplingConfig | None, repeat: int | None = None):
+        """One timed simulation; returns ``(result, best_seconds)``.
+
+        Best of ``repeat`` runs (default: the harness's ``repeat``).
+        """
         source = self._source_for(app_name)
-        options = RunOptions(sampling=sampling, backend=self.backend,
+        options = RunOptions(sampling=sampling,
                              estimate=sampling is not None)
         kwargs = {} if self.source == "artifact" else {"length": self.length}
         result = None
@@ -265,7 +262,7 @@ class AccuracyHarness:
         # pytest-benchmark.
         gc_was_enabled = gc.isenabled()
         try:
-            for _ in range(self.repeat):
+            for _ in range(self.repeat if repeat is None else repeat):
                 sim = ParrotSimulator(model_config(model_name))
                 gc.collect()
                 gc.disable()
@@ -282,12 +279,12 @@ class AccuracyHarness:
         return result, best
 
     def _standalone_seconds(self, app_name: str, model_name: str) -> float:
-        """Time the pair's full-detail run in a fresh interpreter.
+        """Time the pair's full-detail run in one fresh interpreter.
 
         Reproduces the fresh-process baseline (see the module docstring)
         from inside a warm process: the child pays exactly the setup a
-        standalone run pays.  Best of ``repeat`` child processes; only
-        the ``simulate()`` call is inside the timed region.
+        standalone run pays.  Only the ``simulate()`` call is inside the
+        timed region.
         """
         if self.source == "artifact":
             build = (
@@ -303,36 +300,36 @@ class AccuracyHarness:
         script = (
             "import sys, time\n"
             f"sys.path[:0] = {sys.path!r}\n"
-            "from repro.core.simulator import ParrotSimulator, RunOptions\n"
+            "from repro.core.simulator import ParrotSimulator\n"
             "from repro.models.configs import model_config\n"
-            "from repro.pipeline.columnar import ExecutionBackend\n"
             "from repro.workloads.suite import application\n"
             + build
-            + f"options = RunOptions("
-              f"backend=ExecutionBackend({self.backend.value!r}))\n"
-              f"sim = ParrotSimulator(model_config({model_name!r}))\n"
+            + f"sim = ParrotSimulator(model_config({model_name!r}))\n"
               "start = time.perf_counter()\n"
-              f"sim.simulate(source, options{kwargs})\n"
+              f"sim.simulate(source{kwargs})\n"
               "print(time.perf_counter() - start)\n"
         )
-        best = math.inf
-        for _ in range(self.repeat):
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True, text=True, check=True, timeout=600,
-            )
-            best = min(best, float(proc.stdout.strip().splitlines()[-1]))
-        return best
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, timeout=600,
+        )
+        return float(proc.stdout.strip().splitlines()[-1])
 
     def reference(self, app_name: str, model_name: str):
-        """The pair's full-detail run; cached ``(result, seconds)``."""
+        """The pair's full-detail run; cached ``(result, seconds)``.
+
+        Under ``cold_reference`` only the values are kept from the
+        in-process run (one run suffices; :meth:`evaluate` times fresh
+        children), and ``seconds`` is ``None``.
+        """
         key = (app_name, model_name)
         cached = self._references.get(key)
         if cached is None:
-            result, seconds = self._run(app_name, model_name, None)
             if self.cold_reference:
-                seconds = self._standalone_seconds(app_name, model_name)
-            cached = (result, seconds)
+                result, _ = self._run(app_name, model_name, None, repeat=1)
+                cached = (result, None)
+            else:
+                cached = self._run(app_name, model_name, None)
             self._references[key] = cached
         return cached
 
@@ -340,12 +337,25 @@ class AccuracyHarness:
                  sampling: SamplingConfig) -> PairAccuracy:
         """Run one pair sampled and compare against its full reference."""
         full, full_seconds = self.reference(app_name, model_name)
-        sampled, sampled_seconds = self._run(app_name, model_name, sampling)
+        if self.cold_reference:
+            sampled, full_seconds, sampled_seconds = None, math.inf, math.inf
+            for _ in range(self.repeat):
+                full_seconds = min(
+                    full_seconds,
+                    self._standalone_seconds(app_name, model_name),
+                )
+                run, seconds = self._run(app_name, model_name, sampling,
+                                         repeat=1)
+                sampled_seconds = min(sampled_seconds, seconds)
+                if sampled is None:
+                    sampled = run
+        else:
+            sampled, sampled_seconds = self._run(app_name, model_name,
+                                                 sampling)
         return PairAccuracy(
             app=app_name,
             model=model_name,
             length=self.length,
-            backend=self.backend_name,
             source=self.source,
             sampling=sampling,
             full_ipc=full.instructions / full.cycles,

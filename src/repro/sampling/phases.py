@@ -106,7 +106,7 @@ class PhaseClassifier:
     recently matched.  Representatives are the *founding* signature of
     each phase (never updated), so the classification sequence is a pure
     function of the signature sequence — the determinism the store-key and
-    backend-parity contracts need.
+    parity contracts need.
     """
 
     __slots__ = ("threshold", "max_phases", "evictions", "_table", "_next_id")

@@ -12,7 +12,7 @@ Routes::
     GET  /api/status                  store/cache/job overview
     GET  /api/result?model=&app=&length=&sampling=
                                       one warm result (404 when cold)
-    GET  /api/figure/NAME?apps=&length=&sampling=&backend=
+    GET  /api/figure/NAME?apps=&length=&sampling=
                                       render a figure (warm grid: zero
                                       simulations, no worker processes)
     GET  /api/jobs                    submitted jobs

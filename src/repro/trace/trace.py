@@ -47,17 +47,6 @@ class Trace:
     #: and replayed on every later one (uops are immutable once the trace
     #: is installed; the optimizer installs a *new* Trace, resetting this).
     _hot_plan: tuple | None = field(default=None, repr=False, compare=False)
-    #: Columnar twin of ``_hot_plan`` (see ``repro.pipeline.columnar``),
-    #: compiled lazily when the owning machine runs the columnar backend.
-    _hot_plan_columnar: tuple | None = field(
-        default=None, repr=False, compare=False
-    )
-    #: Specialized twin (see ``repro.pipeline.specialize``): the generated
-    #: replay function + probe plan + max-plus scan, compiled lazily when
-    #: the owning machine runs the compiled backend.
-    _hot_plan_compiled: tuple | None = field(
-        default=None, repr=False, compare=False
-    )
     #: Compiled retire-time branch-training plan (see
     #: ``repro.pipeline.segment_batch.compile_hot_training``), cached on
     #: first hot execution: per-TID path identity makes the trace's CTI

@@ -6,6 +6,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.models.configs import MODEL_NAMES
 
 
 class TestParser:
@@ -91,6 +92,13 @@ class TestCommands:
         assert main(["sweep", "--models", "N,QQ", "--apps", "2"]) == 2
         assert "unknown model" in capsys.readouterr().err
 
+    def test_sweep_all_models(self, capsys):
+        assert main(["sweep", "--models", "all", "--apps", "1",
+                     "--length", "1200", "--jobs", "1"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        for model in MODEL_NAMES:
+            assert f"{model} IPC" in header
+
     def test_figure_table(self, capsys):
         assert main(["figure", "table3_2"]) == 0
         assert "rename" in capsys.readouterr().out
@@ -172,42 +180,6 @@ class TestResultStoreCli:
         assert main(["cache", "info"]) == 0
         assert "entries   0" in capsys.readouterr().out
 
-    def test_cache_info_counts_corrupt_shard_and_orphan_tmp_once(self, capsys):
-        """A corrupt-body compiled-plan shard is quarantined and counted
-        exactly once, an orphaned writer tmp file is swept and counted
-        exactly once, and the plans size covers only healthy shards.
-        """
-        import marshal
-
-        from repro.pipeline.specialize import CompiledPlanCache, _header
-
-        cache = CompiledPlanCache()
-        code = compile("def replay(core, mem_lats):\n    pass\n",
-                       "<test>", "exec")
-        key_ok = "ab" + "0" * 62
-        cache.store(key_ok, code)
-        healthy_size = cache._path(key_ok).stat().st_size
-
-        # Valid header, body that decodes to a float instead of raising.
-        bad_path = cache._path("cd" + "0" * 62)
-        bad_path.parent.mkdir(parents=True, exist_ok=True)
-        bad_path.write_bytes(_header() + marshal.dumps(2.5))
-        orphan = bad_path.with_name(bad_path.name + ".tmp.12345")
-        orphan.write_bytes(b"partial write")
-
-        assert main(["cache", "info"]) == 0
-        out = capsys.readouterr().out
-        assert "  compiled  1" in out
-        assert f"  size      {healthy_size} bytes" in out
-        assert "  quarantined 1 corrupt/stale entry" in out
-        assert "  swept     1 stale tmp file(s)" in out
-        assert not bad_path.exists() and not orphan.exists()
-
-        # Both were handled (and reported) once: a rerun starts clean.
-        assert main(["cache", "info"]) == 0
-        out = capsys.readouterr().out
-        assert "  compiled  1" in out
-        assert "quarantined" not in out
 
 
 class TestShardParser:
@@ -302,3 +274,17 @@ class TestShardCommands:
         assert main(["shard", "run", str(plan), "--index", "0",
                      "--store", str(tmp_path / "s0")]) == 2
         assert "digest mismatch" in capsys.readouterr().err
+
+    def test_run_rejects_v1_plan_with_backend(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        assert main(["shard", "plan", "--models", "N", "--apps", "1",
+                     "--length", "1200", "--shards", "1",
+                     "--output", str(plan)]) == 0
+        capsys.readouterr()
+        payload = json.loads(plan.read_text())
+        payload["plan_version"] = 1
+        payload["backend"] = "scalar"
+        plan.write_text(json.dumps(payload))
+        assert main(["shard", "run", str(plan), "--index", "0",
+                     "--store", str(tmp_path / "s0")]) == 2
+        assert "format v1 is not supported" in capsys.readouterr().err

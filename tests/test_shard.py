@@ -9,6 +9,7 @@ records) as examples.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -27,7 +28,6 @@ from repro.experiments.shard import (
     run_shard,
 )
 from repro.models.configs import MODEL_NAMES
-from repro.pipeline.columnar import ExecutionBackend
 from repro.sampling import SamplingConfig
 
 # -- partitioning -------------------------------------------------------------
@@ -91,8 +91,7 @@ class TestShardPlan:
         return plan_grid(**defaults)
 
     def test_round_trip(self):
-        plan = self._plan(sampling=SamplingConfig(),
-                          backend=ExecutionBackend.COLUMNAR)
+        plan = self._plan(sampling=SamplingConfig())
         again = ShardPlan.from_dict(plan.to_dict())
         assert again == plan
         assert again.digest() == plan.digest()
@@ -112,7 +111,7 @@ class TestShardPlan:
     @pytest.mark.parametrize("tamper", [
         {"length": 2500},
         {"shards": [[["N", "gzip"]]]},
-        {"backend": "columnar"},
+        {"sampling": dataclasses.asdict(SamplingConfig())},
     ])
     def test_tampered_plan_is_rejected(self, tamper):
         payload = self._plan().to_dict()

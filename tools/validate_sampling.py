@@ -14,7 +14,7 @@ sections come from this harness.
 
 Usage:  python tools/validate_sampling.py [--length L] [--pairs swim:TON,...]
         [--sampling [adaptive:]DETAIL:GAP:WARMUP[:FUNC_WARM][:CONFIDENCE]]
-        [--backend scalar|columnar] [--source generator|artifact]
+        [--source generator|artifact]
         [--repeat N]
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import tempfile
 
-from repro.pipeline.columnar import ExecutionBackend
 from repro.sampling import SamplingConfig
 from repro.sampling.accuracy import (
     GOLDEN_PAIRS,
@@ -44,10 +43,6 @@ def main() -> None:
                         help="sampling spec: 'on' (tuned fixed defaults), "
                              "'adaptive' (tuned phase-aware defaults), or "
                              "an explicit [adaptive:]DETAIL:GAP:WARMUP spec")
-    parser.add_argument("--backend", type=str, default="scalar",
-                        choices=[b.value for b in ExecutionBackend],
-                        help="execution backend for both sides of the "
-                             "comparison")
     parser.add_argument("--source", type=str, default="generator",
                         choices=["generator", "artifact"],
                         help="simulate the live generator stream or a "
@@ -69,7 +64,6 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         harness = AccuracyHarness(
             length=args.length,
-            backend=ExecutionBackend(args.backend),
             source=args.source,
             root=(tmp if args.source == "artifact" else None),
             repeat=args.repeat,
