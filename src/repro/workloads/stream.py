@@ -600,6 +600,83 @@ class StreamWalker:
             self.executed += len(out)
         return out
 
+    def next_columns(self, count: int, static_index: dict[int, int],
+                     no_mem: int) -> tuple[list, list, list, list]:
+        """Step ``count`` instructions, returning them as record columns.
+
+        Advances the walker exactly as :meth:`next_batch` does — control
+        flow, call stack, behaviour-state calls, ``executed`` and faults
+        alike — but emits the compiled-artifact row layout instead of
+        :class:`DynamicInstruction` objects: ``(index, taken, next, mem)``
+        lists.  ``index`` numbers static instructions through
+        ``static_index`` (address -> index), which is extended in
+        first-execution order, so one mapping carried across calls
+        numbers a whole record; ``mem`` holds ``no_mem`` for rows without
+        a memory access.
+        """
+        index_col: list[int] = []
+        taken_col: list[bool] = []
+        next_col: list[int] = []
+        mem_col: list[int] = []
+        index_append = index_col.append
+        taken_append = taken_col.append
+        next_append = next_col.append
+        mem_append = mem_col.append
+        index_get = static_index.get
+        plans_get = self._plans.get
+        call_stack = self._call_stack
+        pc = self._pc
+        try:
+            for _ in range(count):
+                plan = plans_get(pc)
+                if plan is None:
+                    try:
+                        instr = self.program.instructions[pc]
+                    except KeyError as exc:
+                        raise WorkloadError(
+                            f"{self.program.name}: control flowed to unmapped "
+                            f"address {pc:#x}"
+                        ) from exc
+                    plan = self._compile_plan(instr)
+                (_instr, code, taken_target, fallthrough,
+                 next_taken, next_mem, next_index, switch_targets) = plan
+
+                if code:
+                    taken = True
+                    if code == 1:  # FLOW_COND_BRANCH
+                        taken = next_taken()
+                        next_address = taken_target if taken else fallthrough
+                    elif code == 2:  # FLOW_DIRECT_JUMP
+                        next_address = taken_target
+                    elif code == 3:  # FLOW_CALL
+                        call_stack.append(fallthrough)
+                        next_address = taken_target
+                    elif code == 4:  # FLOW_RETURN
+                        if not call_stack:
+                            raise WorkloadError(
+                                f"{self.program.name}: return with empty call "
+                                f"stack at {pc:#x}"
+                            )
+                        next_address = call_stack.pop()
+                    else:  # FLOW_INDIRECT_JUMP
+                        next_address = switch_targets[next_index()]
+                else:
+                    taken = False
+                    next_address = fallthrough
+
+                index = index_get(pc)
+                if index is None:
+                    index = static_index[pc] = len(static_index)
+                index_append(index)
+                taken_append(taken)
+                next_append(next_address)
+                mem_append(next_mem() if next_mem is not None else no_mem)
+                pc = next_address
+        finally:
+            self._pc = pc
+            self.executed += len(mem_col)
+        return index_col, taken_col, next_col, mem_col
+
 
 class InstructionStream:
     """A bounded dynamic stream with arbitrary lookahead.

@@ -42,6 +42,8 @@ import json
 import os
 import pathlib
 import shutil
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,6 +281,13 @@ _DYN_DTYPE = np.dtype([
 
 #: Instructions pulled per bulk step while compiling an artifact.
 _COMPILE_BATCH = 4096
+
+#: What :meth:`TraceArtifact.load` raises for an absent, torn, truncated
+#: or foreign artifact directory; the cache treats every one as a miss.
+_UNDECODABLE = (
+    OSError, ValueError, KeyError, EOFError,
+    zipfile.BadZipFile, zlib.error, WorkloadError,
+)
 
 _ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
@@ -617,9 +626,10 @@ class TraceArtifact:
         """Load one artifact directory written by :func:`compile_artifact`.
 
         Raises :class:`~repro.errors.WorkloadError` on a schema mismatch
-        or a record-count mismatch (a torn or foreign directory); plain
-        ``OSError``/``ValueError`` propagate for missing or undecodable
-        files, so callers can treat any failure as a cache miss.
+        or a record-count mismatch (a torn or foreign directory); missing
+        or undecodable files raise whatever their decoder does.  Every
+        one of these is in :data:`_UNDECODABLE`, so callers can treat any
+        failure as a cache miss.
         """
         directory = pathlib.Path(directory)
         meta = json.loads((directory / "meta.json").read_text())
@@ -784,47 +794,51 @@ def compile_artifact(
     """Walk ``app``'s stream once and persist it as a compiled artifact.
 
     ``app`` is an :class:`~repro.workloads.suite.Application` (or anything
-    with ``name``/``suite``/``build()``); ``seed`` is its generator seed —
-    part of the content key, so a seed change keys to a fresh artifact.
-    The write is atomic (temp directory + ``os.replace``), and a
-    concurrent compiler racing on the same key simply loses the rename and
-    loads the winner's bytes.  Returns the loaded artifact.
+    with ``name``/``suite``/``build()``, where ``build()`` returns a
+    workload with ``program`` and ``walker()``); ``seed`` is its generator
+    seed — part of the content key, so a seed change keys to a fresh
+    artifact.
+
+    The walk goes straight into the dynamic record: the generating
+    walker's :meth:`~repro.workloads.stream.StreamWalker.next_columns`
+    emits ``_COMPILE_BATCH`` rows at a time as columns, which are
+    slice-assigned into the preallocated ``dyn`` array, and the static
+    table lists the executed instructions in first-execution order.  No
+    :class:`DynamicInstruction` is built, and the record holds exactly
+    the rows a ``workload.stream(length)`` would yield.
+
+    An artifact already on disk is loaded instead; one that does not
+    decode is recompiled and replaced.  The write is atomic (temp
+    directory + ``os.replace``), and a concurrent compiler racing on the
+    same key simply loses the rename and loads the winner's bytes.
+    Returns the loaded artifact.
     """
+    if length <= 0:
+        raise WorkloadError(f"stream limit must be positive, got {length}")
     root = pathlib.Path(root) if root is not None else default_artifact_root()
     key = artifact_key(app.name, seed, length)
     final = root / key[:2] / key
-    if (final / "meta.json").exists():
+    try:
         return TraceArtifact.load(final)
+    except _UNDECODABLE:
+        pass  # absent or corrupt: compile it, replacing any corrupt copy
 
     workload = app.build()
     program = workload.program
-    stream = workload.stream(length)
+    walker = workload.walker()
     static_index: dict[int, int] = {}
-    statics: list[MacroInstruction] = []
     dyn = np.empty(length, dtype=_DYN_DTYPE)
     no_mem = int(_NO_MEM)
-    row = 0
-    while True:
-        batch = stream.take_batch(_COMPILE_BATCH)
-        if not batch:
-            break
-        for record in batch:
-            instr = record.instr
-            address = instr.address
-            index = static_index.get(address)
-            if index is None:
-                index = len(statics)
-                static_index[address] = index
-                statics.append(instr)
-            mem = record.mem_addr
-            dyn[row] = (index, record.taken, record.next_address,
-                        no_mem if mem is None else mem)
-            row += 1
-    if row != length:
-        raise WorkloadError(
-            f"artifact compile of {app.name}: stream ended after {row} of "
-            f"{length} instructions"
+    for lo in range(0, length, _COMPILE_BATCH):
+        hi = min(lo + _COMPILE_BATCH, length)
+        index, taken, nxt, mem = walker.next_columns(
+            hi - lo, static_index, no_mem
         )
+        dyn["index"][lo:hi] = index
+        dyn["taken"][lo:hi] = taken
+        dyn["next"][lo:hi] = nxt
+        dyn["mem"][lo:hi] = mem
+    statics = [program.instructions[address] for address in static_index]
 
     final.parent.mkdir(parents=True, exist_ok=True)
     tmp = final.with_name(f"{key}.tmp.{os.getpid()}")
@@ -859,11 +873,39 @@ def compile_artifact(
             },
             sort_keys=True,
         ))
+        return _publish(tmp, final)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)  # gone already once published
+
+
+def _publish(tmp: pathlib.Path, final: pathlib.Path) -> TraceArtifact:
+    """Move the freshly written directory ``tmp`` to ``final`` and load it.
+
+    ``os.replace`` refuses when ``final`` already holds a directory.  If
+    that directory loads, a concurrent compiler won the race and its bytes
+    are served (``tmp`` is left for the caller to discard).  If it does
+    not, it is a corrupt artifact: it is renamed aside, ``tmp`` takes its
+    place and the aside copy is deleted, so a reader sees the old
+    directory, no directory or the new one, never a partly written one.
+    """
+    try:
         os.replace(tmp, final)
     except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not (final / "meta.json").exists():
-            raise
+        try:
+            return TraceArtifact.load(final)
+        except _UNDECODABLE:
+            pass
+        aside = final.with_name(f"{tmp.name}.corrupt")
+        shutil.rmtree(aside, ignore_errors=True)
+        try:
+            os.replace(final, aside)
+        except FileNotFoundError:
+            pass  # a concurrent compiler moved it aside first
+        try:
+            os.replace(tmp, final)
+        except OSError:
+            pass  # ...and has already published the same bytes
+        shutil.rmtree(aside, ignore_errors=True)
     return TraceArtifact.load(final)
 
 
@@ -906,7 +948,7 @@ class ArtifactCache:
             artifact = TraceArtifact.load(
                 self._dir(artifact_key(app_name, seed, length))
             )
-        except (OSError, ValueError, KeyError, WorkloadError):
+        except _UNDECODABLE:
             return None
         self.hits += 1
         return artifact

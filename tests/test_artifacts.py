@@ -5,12 +5,14 @@ stream replayed from a compiled artifact must be indistinguishable — per
 dynamic record and per simulation result — from the stream walked out of
 the generator, in every regime (full detail, shared segment lists,
 sampled).  Everything else here is plumbing: content keying, cache
-hit/miss/compile accounting, stale-tmp sweeping, and the engine-level
-counters that surface it all.
+hit/miss/compile accounting, replacing corrupt artifacts, stale-tmp
+sweeping, and the engine-level counters that surface it all.
 """
 
+import dataclasses
 import json
 import shutil
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,8 +25,10 @@ from repro.experiments.runner import ExperimentRunner, Scale
 from repro.models.configs import model_config
 from repro.sampling import SamplingConfig
 from repro.workloads import tracefile as tracefile_mod
+from repro.workloads.stream import StreamWalker
 from repro.workloads.suite import application, benchmark_suite
 from repro.workloads.tracefile import (
+    _COMPILE_BATCH,
     ARTIFACT_SCHEMA_VERSION,
     ArtifactCache,
     TraceArtifact,
@@ -50,6 +54,26 @@ def _rows(records):
     return [(r.instr, r.taken, r.next_address, r.mem_addr) for r in records]
 
 
+def _holed_app(row: int = 100):
+    """gzip with the instruction executed at ``row`` unmapped.
+
+    The stream walk faults the first time control reaches the hole, so
+    compiling this application must fail before anything is published.
+    """
+    base = application("gzip")
+    program = base.build().program
+    hole = StreamWalker(program, 0).next_batch(row + 1)[row].address
+    holed = dataclasses.replace(program, instructions={
+        address: instr for address, instr in program.instructions.items()
+        if address != hole
+    })
+    workload = SimpleNamespace(
+        program=holed, walker=lambda: StreamWalker(holed, 0)
+    )
+    return SimpleNamespace(name="gzip-holed", suite=base.suite,
+                           seed=base.seed, build=lambda: workload)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("app_name", SUITE_APPS)
     def test_replay_matches_direct_walk_per_suite(self, app_name, tmp_path):
@@ -67,6 +91,21 @@ class TestRoundTrip:
         direct = app.build().stream(length).take_batch(length)
         artifact = compile_artifact(app, app.seed, length, root=tmp_path)
         assert _rows(artifact.stream().take_batch(length)) == _rows(direct)
+
+    def test_replay_matches_direct_walk_across_compile_batches(self,
+                                                               tmp_path):
+        length = 2 * _COMPILE_BATCH + 17
+        app = application("gzip")
+        direct = app.build().stream(length).take_batch(length)
+        artifact = compile_artifact(app, app.seed, length, root=tmp_path)
+        assert _rows(artifact.stream().take_batch(length)) == _rows(direct)
+
+    def test_control_flow_fault_publishes_nothing(self, tmp_path):
+        app = _holed_app()
+        with pytest.raises(WorkloadError, match="unmapped address"):
+            compile_artifact(app, app.seed, 3 * _COMPILE_BATCH,
+                             root=tmp_path)
+        assert list(tmp_path.glob("*/*")) == []
 
     def test_limit_clamps_to_artifact_length(self, tmp_path):
         artifact = _compile("gzip", tmp_path)
@@ -156,6 +195,45 @@ class TestArtifactCache:
         fresh = cache.get_or_compile(app, LENGTH)
         assert cache.compiles == 2
         assert len(fresh) == LENGTH
+
+    @pytest.mark.parametrize("name", ["meta.json", "static.npz", "dyn.npy"])
+    def test_truncated_artifact_is_replaced(self, name, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        app = application("gzip")
+        artifact = cache.get_or_compile(app, LENGTH)
+        part = artifact.path / name
+        part.write_bytes(part.read_bytes()[: part.stat().st_size // 2])
+        assert cache.load(app.name, app.seed, LENGTH) is None
+        fresh = cache.get_or_compile(app, LENGTH)
+        assert cache.compiles == 2
+        assert fresh.path == artifact.path
+        direct = app.build().stream(LENGTH).take_batch(LENGTH)
+        assert _rows(fresh.stream().take_batch(LENGTH)) == _rows(direct)
+        # The replacement is on disk, and nothing is left beside it.
+        assert cache.load(app.name, app.seed, LENGTH) is not None
+        assert list(tmp_path.glob("*/*")) == [artifact.path]
+
+    def test_losing_the_race_keeps_the_winner(self, tmp_path, monkeypatch):
+        app = application("gzip")
+        winner = compile_artifact(app, app.seed, LENGTH, root=tmp_path)
+        inode = (winner.path / "dyn.npy").stat().st_ino
+        load = TraceArtifact.load.__func__
+        calls = []
+
+        def load_after_first_miss(cls, directory):
+            # The first probe misses, as if the winner had not published
+            # yet, so this compiler walks and then finds the winner.
+            calls.append(directory)
+            if len(calls) == 1:
+                raise FileNotFoundError(directory)
+            return load(cls, directory)
+
+        monkeypatch.setattr(TraceArtifact, "load",
+                            classmethod(load_after_first_miss))
+        loser = compile_artifact(app, app.seed, LENGTH, root=tmp_path)
+        assert loser.path == winner.path
+        assert (winner.path / "dyn.npy").stat().st_ino == inode
+        assert list(tmp_path.glob("*/*")) == [winner.path]
 
     def test_schema_bump_is_a_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)

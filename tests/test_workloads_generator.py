@@ -100,6 +100,34 @@ class TestStreamWalking:
                 seen_mem += 1
         assert seen_mem > 100
 
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(0, 3000), m=st.integers(0, 3000))
+    def test_next_columns_then_next_batch_matches_next_batch(
+            self, int_workload, n, m):
+        """The column step advances the walker exactly like next_batch."""
+        no_mem = -1
+        walker = int_workload.walker()
+        static_index: dict[int, int] = {}
+        index, taken, nxt, mem = walker.next_columns(n, static_index, no_mem)
+        statics = list(static_index)
+        assert list(static_index.values()) == list(range(len(statics)))
+        head = [
+            (statics[i], t, x, None if a == no_mem else a)
+            for i, t, x, a in zip(index, taken, nxt, mem)
+        ]
+        tail = walker.next_batch(m)
+        reference = int_workload.walker()
+        expected = reference.next_batch(n + m)
+
+        def rows(records):
+            return [(r.address, r.taken, r.next_address, r.mem_addr)
+                    for r in records]
+
+        assert head + rows(tail) == rows(expected)
+        assert walker.executed == reference.executed == n + m
+        # Static indices follow first execution.
+        assert statics == list(dict.fromkeys(r.address for r in expected[:n]))
+
     def test_hot_cold_skew(self, fp_workload):
         """The hot/cold (90/10) paradigm: a small static footprint carries
         nearly all dynamic execution."""
