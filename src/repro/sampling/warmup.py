@@ -139,11 +139,13 @@ class WarmupPolicy:
         CTI) replay without decoding instruction objects, and segment
         selection runs through the selector's columnar scanner, which
         hands its in-progress state to ``selector`` at the end of the
-        window.  Warming effects and trace-machinery training touch
-        disjoint components, so batching them per column block is
-        state-identical to the reference interleaved loop — the synthetic
-        clock each completed segment trains against depends only on its
-        stream position, which the scanner reports exactly.
+        window.  The scanner gets the walker's window scan provider, so
+        only the window's own rows are ever scanned.  Warming effects and
+        trace-machinery training touch disjoint components, so batching
+        them per column block is state-identical to the reference
+        interleaved loop — the synthetic clock each completed segment
+        trains against depends only on its stream position, which the
+        scanner reports exactly.
 
         Returns the number of instructions consumed; ``0`` means the fast
         path does not apply (generating walker, buffered lookahead, or a
@@ -171,19 +173,16 @@ class WarmupPolicy:
             raw = consume_raw(count - consumed)
             if raw is None:
                 break
-            walker, lo, index, taken, nxt, mem = raw
+            walker, lo, index, taken, nxt = raw
             if not index:
                 break
             if scanner is None:
                 instructions, addresses, flow, uop_counts = (
                     walker.select_tables()
                 )
-                scan_tables = getattr(walker, "scan_tables", None)
                 scanner = selector.columnar_scanner(
                     walker.materialize, flow, uop_counts, addresses,
-                    scan=(
-                        scan_tables() if scan_tables is not None else None
-                    ),
+                    scan=getattr(walker, "scan_tables", None),
                 )
             last_line = walker.warm_effects(
                 lo, lo + len(index), fetch, touch_data, predict_and_train,

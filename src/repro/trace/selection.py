@@ -31,7 +31,7 @@ rather than enum chains.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -132,8 +132,9 @@ class TraceSelector:
         import-free module) never names the columnar class; the scanner
         shares this selector's capacity and finishes with
         :meth:`ColumnarSelector.transfer` into it.  ``scan`` — an
-        artifact's whole-record scan tables — upgrades the scanner from
-        the per-row mirror loop to the boundary-jumping scan.
+        artifact's window scan provider, ``scan(lo, hi)`` returning the
+        selection-scan tables of rows ``[lo, hi)`` — upgrades the scanner
+        from the per-row mirror loop to the boundary-jumping scan.
         """
         return ColumnarSelector(
             self.capacity_uops, materialize, flow, uop_counts, addresses,
@@ -409,7 +410,7 @@ class ColumnarSelector:
 
     __slots__ = (
         "capacity_uops", "_materialize", "_flow", "_uop_tab", "_addr_tab",
-        "_scan", "_ctrl_ptr", "_cond_ptr",
+        "_scan",
         "_base_lo", "_row", "_uops", "_start", "_directions",
         "_num_branches", "_context_depth", "_pending", "_pending_base_tid",
         "terminations",
@@ -423,10 +424,6 @@ class ColumnarSelector:
         self._uop_tab = uop_counts
         self._addr_tab = addresses
         self._scan = scan
-        # Cursors into the scan tables' ctrl/cond row lists, positioned
-        # lazily at the first consumed batch.
-        self._ctrl_ptr = -1
-        self._cond_ptr = -1
         self._base_lo = 0
         self._row = 0
         self._uops = 0
@@ -455,8 +452,8 @@ class ColumnarSelector:
         emitting instruction (1-based, window-relative) — the same value
         the reference per-instruction loop would see in ``consumed``.
 
-        With whole-record scan tables the scan jumps boundary to
-        boundary (:meth:`_consume_scan`); without them it mirrors the
+        With a window scan provider the scan jumps boundary to
+        boundary (:meth:`_consume_scan`); without one it mirrors the
         reference selector row by row (:meth:`_consume_rows`).  Both are
         state- and emission-identical to feeding :meth:`TraceSelector.advance`.
         """
@@ -467,27 +464,34 @@ class ColumnarSelector:
 
     def _consume_scan(self, lo: int, indices, offset: int,
                       on_segment) -> None:
-        """Boundary-jumping scan over precomputed artifact tables.
+        """Boundary-jumping scan over the batch's window scan tables.
+
+        The provider scans exactly the batch's rows ``[lo, end)``: its
+        cumulative-uop list is window-relative with a leading 0 (row
+        ``r`` is at ``cum[r - lo + 1]``), its ctrl/cond rows are global.
+        A base left open at the batch end carries over in the selector
+        state, so batches chain exactly like one long window.
 
         Instead of dispatching every row, each iteration closes one whole
-        base: the next candidate terminator comes from the precomputed
-        ctrl-event rows (walking calls/returns only for the context
-        counter), the cumulative-uop column answers "does it still fit?"
-        in O(1) — with one ``bisect`` only on the capacity-close path —
-        and the direction string is gathered from the conditional-branch
-        rows of the closed range.  Identical state transitions to the
-        per-row mirror, visiting only events.  (Assumes every instruction
+        base: the next candidate terminator comes from the ctrl-event
+        rows (walking calls/returns only for the context counter), the
+        cumulative-uop column answers "does it still fit?" in O(1) —
+        with one ``bisect`` only on the capacity-close path — and the
+        direction string is gathered from the conditional-branch rows of
+        the closed range.  Identical state transitions to the per-row
+        mirror, visiting only events.  (Assumes every instruction
         decodes to at least one uop, as the ISA guarantees: a
         hypothetical zero-uop row directly after an over-capacity
         instruction would extend the base the reference loop closes.)
         """
-        cum, ctrl_rows, ctrl_kinds, cond_rows, cond_taken = self._scan
         end = lo + len(indices)
-        k = self._ctrl_ptr
-        j = self._cond_ptr
-        if k < 0:
-            k = bisect_left(ctrl_rows, lo)
-            j = bisect_left(cond_rows, lo)
+        cum, ctrl_rows, ctrl_kinds, cond_rows, cond_taken = self._scan(
+            lo, end
+        )
+        # ``cum[r - off]`` is the uop count of rows ``lo..r`` inclusive.
+        off = lo - 1
+        k = 0
+        j = 0
         n_ctrl = len(ctrl_rows)
         n_cond = len(cond_rows)
         capacity = self.capacity_uops
@@ -507,23 +511,21 @@ class ColumnarSelector:
                 num_branches = 0
                 depth = 0
                 base_lo = r
-            before = cum[r - 1] if r else 0
+            before = cum[r - lo]
             # Rows fit while their cumulative uops stay <= budget; the
             # first row beyond it is the reference loop's
             # terminate-before-overflow row.  An over-capacity *first*
             # row still enters the empty base.
             budget = before + capacity - uops
-            giant = not uops and cum[r] > budget
+            giant = not uops and cum[r - off] > budget
             if giant:
-                budget = cum[r]
+                budget = cum[r - off]
             cause = None
             ev = -1
             capped = False
             while k < n_ctrl:
                 row = ctrl_rows[k]
-                if row >= end:
-                    break
-                if cum[row] > budget:
+                if cum[row - off] > budget:
                     capped = True  # capacity closes at or before this event
                     break
                 kind = ctrl_kinds[k]
@@ -558,7 +560,7 @@ class ColumnarSelector:
                 terminations[cause] += 1
                 finished = self._close_push(
                     start, directions, num_branches,
-                    uops + cum[ev] - before, base_lo, ev + 1,
+                    uops + cum[ev - off] - before, base_lo, ev + 1,
                 )
                 if finished is not None:
                     on_segment(finished, offset + (ev - lo) + 1)
@@ -567,11 +569,12 @@ class ColumnarSelector:
                 start = None
                 depth = 0
                 continue
-            if not capped and cum[end - 1] > budget:
+            if not capped and cum[-1] > budget:
                 capped = True
             if capped:
                 e_cap = (
-                    r + 1 if giant else bisect_right(cum, budget, r)
+                    r + 1 if giant
+                    else bisect_right(cum, budget, r - off) + off
                 )
                 if e_cap < end:
                     # Capacity close while processing row ``e_cap``; the
@@ -588,7 +591,7 @@ class ColumnarSelector:
                     terminations["capacity"] += 1
                     finished = self._close_push(
                         start, directions, num_branches,
-                        uops + cum[e_cap - 1] - before, base_lo, e_cap,
+                        uops + cum[e_cap - lo] - before, base_lo, e_cap,
                     )
                     if finished is not None:
                         on_segment(finished, offset + (e_cap - lo) + 1)
@@ -599,14 +602,11 @@ class ColumnarSelector:
             # Batch exhausted mid-base: fold the tail into the carried
             # state and wait for the next batch (or the final transfer).
             while j < n_cond:
-                row = cond_rows[j]
-                if row >= end:
-                    break
                 if cond_taken[j]:
                     directions |= 1 << num_branches
                 num_branches += 1
                 j += 1
-            uops += cum[end - 1] - before
+            uops += cum[-1] - before
             r = end
         self._uops = uops
         self._start = start
@@ -615,8 +615,6 @@ class ColumnarSelector:
         self._context_depth = depth
         self._base_lo = base_lo
         self._row = end
-        self._ctrl_ptr = k
-        self._cond_ptr = j
 
     def _consume_rows(self, lo: int, indices, taken, nexts, offset: int,
                       on_segment) -> None:

@@ -790,7 +790,7 @@ class InstructionStream:
         recorded artifact (a walker exposing ``raw_batch``) and nothing
         is buffered, the rows are consumed without decoding
         :class:`DynamicInstruction` objects and returned as
-        ``(walker, lo, index, taken, next, mem)`` — stream bookkeeping
+        ``(walker, lo, index, taken, next)`` — stream bookkeeping
         (``consumed``, the remaining budget) advances exactly as a
         ``take_batch`` of the same rows would.  Returns ``None`` when the
         fast path does not apply (buffered lookahead, a generating
@@ -804,11 +804,11 @@ class InstructionStream:
         if raw_batch is None:
             return None
         n = min(count, self._remaining)
-        lo, index, taken, nxt, mem = raw_batch(n)
+        lo, index, taken, nxt = raw_batch(n)
         took = len(index)
         self._remaining -= took
         self.consumed += took
-        return walker, lo, index, taken, nxt, mem
+        return walker, lo, index, taken, nxt
 
     def skip(self, count: int, warm: tuple | None = None,
              profile: dict | None = None) -> int:
@@ -906,30 +906,3 @@ class InstructionStream:
             skipped += n
         self.consumed += skipped
         return skipped
-
-    def drain(self) -> Iterator[DynamicInstruction]:
-        """Consume the rest of the stream, in order.
-
-        Equivalent to calling :meth:`take` until :attr:`exhausted`, without
-        the per-instruction buffer round-trip — the bulk path used by the
-        simulator's segmentation loop.  ``consumed`` and the remaining
-        budget stay accurate at every yield, so interleaving ``peek`` or
-        ``take`` with a partially-consumed ``drain()`` remains valid.
-        """
-        buffer = self._buffer
-        walker = self._walker
-        while True:
-            if buffer:
-                self.consumed += 1
-                yield buffer.popleft()
-            elif self._remaining > 0:
-                try:
-                    dyn = next(walker)
-                except StopIteration:
-                    self._remaining = 0
-                    return
-                self._remaining -= 1
-                self.consumed += 1
-                yield dyn
-            else:
-                return

@@ -329,23 +329,21 @@ class ArtifactReplayWalker:
     probe per new line, predictor training per dynamic CTI, dcache touch
     per memory access — the exact effect order of
     :meth:`~repro.workloads.stream.StreamWalker.warm_skip`).
+
+    The record stays the artifact's memory-mapped structured array: every
+    call slices the rows ``[lo, hi)`` it covers and decodes only the
+    fields it needs, so a sampled run pays for the windows it touches,
+    never for the whole record.
     """
 
     __slots__ = (
-        "_artifact", "_instructions", "_index", "_taken", "_next", "_mem",
-        "_addresses", "_trainable", "_raw", "_dyn_cti",
+        "_artifact", "_instructions", "_raw", "_dyn_cti",
         "_pos", "_total", "executed",
     )
-
-    #: Sentinel in the ``mem`` column for rows without a memory access,
-    #: exported for consumers of the raw column surface.
-    no_mem = int(_NO_MEM)
 
     def __init__(self, artifact: "TraceArtifact"):
         self._artifact = artifact
         self._instructions = artifact.instructions
-        self._index, self._taken, self._next, self._mem = artifact._columns()
-        self._addresses, self._trainable = artifact._warm_tables()
         self._raw = artifact._dyn
         self._dyn_cti = None
         self._pos = 0
@@ -359,39 +357,18 @@ class ArtifactReplayWalker:
         i = self._pos
         if i >= self._total:
             raise StopIteration
-        mem = self._mem[i]
-        dyn = DynamicInstruction(
-            self._instructions[self._index[i]],
-            self._taken[i],
-            self._next[i],
-            None if mem == int(_NO_MEM) else mem,
-        )
+        (dyn,) = self.materialize(i, i + 1)
         self._pos = i + 1
         self.executed += 1
         return dyn
 
     def next_batch(self, count: int) -> list[DynamicInstruction]:
-        """Decode ``count`` recorded instructions in one call, in order.
-
-        Iterates C-level ``zip`` over column slices rather than indexing
-        four lists per row — measurably faster on the bulk-replay path.
-        """
+        """Decode ``count`` recorded instructions in one call, in order."""
         i = self._pos
         end = min(i + count, self._total)
         if end <= i:
             return []
-        instructions = self._instructions
-        no_mem = int(_NO_MEM)
-        dyn_instr = DynamicInstruction
-        out = [
-            dyn_instr(instructions[s], t, n, None if m == no_mem else m)
-            for s, t, n, m in zip(
-                self._index[i:end],
-                self._taken[i:end],
-                self._next[i:end],
-                self._mem[i:end],
-            )
-        ]
+        out = self.materialize(i, end)
         self._pos = end
         self.executed += len(out)
         return out
@@ -399,36 +376,43 @@ class ArtifactReplayWalker:
     def raw_batch(self, count: int):
         """Consume up to ``count`` rows as raw column slices.
 
-        Returns ``(lo, index, taken, next, mem)`` — the global row number
-        of the first consumed row plus plain-list column slices — without
-        decoding any :class:`DynamicInstruction`.  The columnar-warmup
-        fast path pairs this with :meth:`select_tables` and
+        Returns ``(lo, index, taken, next)`` — the global row number of
+        the first consumed row plus plain-list slices of the three
+        columns segment selection reads — without decoding any
+        :class:`DynamicInstruction`.  The columnar-warmup fast path pairs
+        this with :meth:`select_tables`, :meth:`scan_tables` and
         :meth:`materialize`.
         """
         i = self._pos
         end = min(i + count, self._total)
         self._pos = end
         self.executed += end - i
+        rows = self._raw[i:end]
         return (
             i,
-            self._index[i:end],
-            self._taken[i:end],
-            self._next[i:end],
-            self._mem[i:end],
+            rows["index"].tolist(),
+            rows["taken"].tolist(),
+            rows["next"].tolist(),
         )
 
     def materialize(self, lo: int, hi: int) -> list[DynamicInstruction]:
-        """Decode recorded rows ``[lo, hi)`` independently of the cursor."""
+        """Decode recorded rows ``[lo, hi)`` independently of the cursor.
+
+        Iterates C-level ``zip`` over per-field ``tolist`` slices rather
+        than indexing rows one by one — measurably faster on the
+        bulk-replay path.
+        """
+        rows = self._raw[lo:hi]
         instructions = self._instructions
         no_mem = int(_NO_MEM)
         dyn_instr = DynamicInstruction
         return [
             dyn_instr(instructions[s], t, n, None if m == no_mem else m)
             for s, t, n, m in zip(
-                self._index[lo:hi],
-                self._taken[lo:hi],
-                self._next[lo:hi],
-                self._mem[lo:hi],
+                rows["index"].tolist(),
+                rows["taken"].tolist(),
+                rows["next"].tolist(),
+                rows["mem"].tolist(),
             )
         ]
 
@@ -440,18 +424,49 @@ class ArtifactReplayWalker:
         column.  Shared with the owning artifact, so the decode cost is
         paid once per loaded artifact, not per walker.
         """
-        addresses, _ = self._artifact._warm_tables()
-        flow, uops = self._artifact._select_tables()
+        addresses, flow, uops = self._artifact._select_tables()
         return self._instructions, addresses, flow, uops
 
-    def scan_tables(self):
-        """Whole-record scan tables for boundary-jumping selection.
+    def scan_tables(self, lo: int, hi: int):
+        """Selection-scan tables of rows ``[lo, hi)`` (boundary jumping).
 
-        See :meth:`TraceArtifact._scan_tables`; shared per artifact, so
-        the vectorized pass is paid once and every warmup window of every
-        run over the same artifact reuses it.
+        ``(cum_uops, ctrl_rows, ctrl_kinds, cond_rows, cond_taken)``:
+        ``cum_uops`` holds the window's cumulative uop count with a
+        leading 0 (``cum_uops[r - lo + 1]`` counts rows ``lo..r``), so
+        capacity boundaries fall out of one ``bisect``; ``ctrl_rows``
+        are the global rows whose flow can close a base or move the
+        call-context counter — calls (kind 0), returns (1),
+        backward-taken branches and backward direct jumps (2), indirect
+        jumps (3) and software interrupts (4) — and ``cond_rows`` the
+        global conditional-branch rows with their taken flags (the
+        direction-string bits).  One vectorized pass over the window
+        only; nothing outside it is read or kept.
         """
-        return self._artifact._scan_tables()
+        rows = self._raw[lo:hi]
+        idx = rows["index"]
+        addr_np, flow_np, uops_np, _, _ = self._artifact._np_tables()
+        code = flow_np[idx]
+        taken = rows["taken"]
+        backward = rows["next"] <= addr_np[idx]
+        is_cond = code == FLOW_COND_BRANCH
+        kind = np.full(len(rows), -1, dtype=np.int8)
+        kind[code == FLOW_CALL] = 0
+        kind[code == FLOW_RETURN] = 1
+        kind[(is_cond & taken & backward)
+             | ((code == FLOW_DIRECT_JUMP) & backward)] = 2
+        kind[code == FLOW_INDIRECT_JUMP] = 3
+        kind[code == FLOW_SOFTWARE_INT] = 4
+        ctrl = np.flatnonzero(kind >= 0)
+        cond = np.flatnonzero(is_cond)
+        cum = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(uops_np[idx], out=cum[1:])
+        return (
+            cum.tolist(),
+            (ctrl + lo).tolist(),
+            kind[ctrl].tolist(),
+            (cond + lo).tolist(),
+            taken[cond].tolist(),
+        )
 
     def skip(self, count: int, profile: dict | None = None) -> int:
         """Advance the cursor; no state to evolve, so this is O(1).
@@ -531,8 +546,9 @@ class ArtifactReplayWalker:
         The per-row scan is vectorized: one numpy pass computes which
         rows fire any warming effect (new icache line, trainable CTI,
         memory access) and the Python loop then visits only those rows —
-        typically around half the window.  Within a row the effect order
-        is exact: ``fetch``, then ``train``/``touch`` in the order the
+        typically around half the window — with their fields gathered
+        and decoded in one step each.  Within a row the effect order is
+        exact: ``fetch``, then ``train``/``touch`` in the order the
         mirrored reference loop uses (``touch_last`` selects the skip
         path's fetch-train-touch or the warmup window's
         fetch-touch-train).  Returns the line of the last scanned row.
@@ -540,50 +556,45 @@ class ArtifactReplayWalker:
         n = end - i
         if n <= 0:
             return last_line
-        raw = self._raw[i:end]
-        idx = raw["index"]
-        addr_np, trainable_np, cti_np = self._artifact._warm_np_tables()
-        lines = addr_np[idx] >> line_shift
+        rows = self._raw[i:end]
+        idx = rows["index"]
+        addr_np, _, _, trainable_np, cti_np = self._artifact._np_tables()
+        addr = addr_np[idx]
+        lines = addr >> line_shift
         newline = np.empty(n, dtype=np.bool_)
         newline[0] = last_line < 0 or int(lines[0]) != last_line
         np.not_equal(lines[1:], lines[:-1], out=newline[1:])
         train_mask = (trainable_np if trainable_gate else cti_np)[idx]
-        mem_mask = raw["mem"] != _NO_MEM
+        mem = rows["mem"]
+        mem_mask = mem != _NO_MEM
         events = np.flatnonzero(newline | train_mask | mem_mask)
-        index = self._index
-        taken = self._taken
-        nxt = self._next
-        mem = self._mem
         instructions = self._instructions
-        addresses = self._addresses
+        fired = zip(
+            newline[events].tolist(),
+            train_mask[events].tolist(),
+            mem_mask[events].tolist(),
+            addr[events].tolist(),
+            idx[events].tolist(),
+            rows["taken"][events].tolist(),
+            rows["next"][events].tolist(),
+            mem[events].tolist(),
+        )
         if touch_last:
-            for j, new, tr, mm in zip(
-                events.tolist(),
-                newline[events].tolist(),
-                train_mask[events].tolist(),
-                mem_mask[events].tolist(),
-            ):
-                g = i + j
+            for new, tr, mm, a, s, t, nx, m in fired:
                 if new:
-                    fetch(addresses[index[g]])
+                    fetch(a)
                 if tr:
-                    train(instructions[index[g]], taken[g], nxt[g])
+                    train(instructions[s], t, nx)
                 if mm:
-                    touch(mem[g])
+                    touch(m)
         else:
-            for j, new, tr, mm in zip(
-                events.tolist(),
-                newline[events].tolist(),
-                train_mask[events].tolist(),
-                mem_mask[events].tolist(),
-            ):
-                g = i + j
+            for new, tr, mm, a, s, t, nx, m in fired:
                 if new:
-                    fetch(addresses[index[g]])
+                    fetch(a)
                 if mm:
-                    touch(mem[g])
+                    touch(m)
                 if tr:
-                    train(instructions[index[g]], taken[g], nxt[g])
+                    train(instructions[s], t, nx)
         return int(lines[-1])
 
 
@@ -592,15 +603,17 @@ class TraceArtifact:
 
     The static instruction table and the program prewarm image are decoded
     eagerly (they are tiny); the dynamic record stays a memory-mapped
-    structured array until first replay, when its columns are decoded once
-    and cached for every subsequent stream over the same artifact.
+    structured array for the artifact's whole life.  Replay walkers decode
+    it window by window — only the rows each call covers, only the fields
+    it reads — so memory follows the windows a run touches, not the
+    record's length, and pool workers replaying the same application
+    share the record's pages through the page cache.
     """
 
     __slots__ = (
         "path", "app_name", "suite", "seed", "length",
         "instructions", "prewarm_code", "prewarm_data",
-        "_dyn", "_cols", "_warm", "_select", "_warm_np", "_scan",
-        "_segments",
+        "_dyn", "_select", "_np", "_segments",
     )
 
     def __init__(self, path, *, app_name, suite, seed, length,
@@ -614,11 +627,8 @@ class TraceArtifact:
         self.prewarm_code = prewarm_code
         self.prewarm_data = prewarm_data
         self._dyn = dyn
-        self._cols = None
-        self._warm = None
         self._select = None
-        self._warm_np = None
-        self._scan = None
+        self._np = None
         self._segments = None
 
     @classmethod
@@ -662,101 +672,39 @@ class TraceArtifact:
     def __len__(self) -> int:
         return self.length
 
-    def _columns(self) -> tuple[list, list, list, list]:
-        """Dynamic-record columns as plain-int lists (decoded once)."""
-        if self._cols is None:
-            dyn = self._dyn
-            self._cols = (
-                dyn["index"].tolist(),
-                dyn["taken"].tolist(),
-                dyn["next"].tolist(),
-                dyn["mem"].tolist(),
-            )
-        return self._cols
-
-    def _warm_tables(self) -> tuple[list[int], list[bool]]:
-        """Per-static address and is-dynamic-CTI tables for warm replay.
-
-        ``trainable`` mirrors the generating walker's plan compilation:
-        flow codes 1-5 train the branch predictor, software interrupts
-        (flow code 6) are remapped to plain fall-through and never train.
-        """
-        if self._warm is None:
-            self._warm = (
-                [instr.address for instr in self.instructions],
-                [1 <= instr.flow_code <= 5 for instr in self.instructions],
-            )
-        return self._warm
-
-    def _select_tables(self) -> tuple[list[int], list[int]]:
-        """Per-static flow-code and uop-count tables (columnar selection)."""
+    def _select_tables(self) -> tuple[list[int], list[int], list[int]]:
+        """Per-static address, flow-code and uop-count tables (selection)."""
         if self._select is None:
             self._select = (
+                [instr.address for instr in self.instructions],
                 [instr.flow_code for instr in self.instructions],
                 [instr.num_uops for instr in self.instructions],
             )
         return self._select
 
-    def _warm_np_tables(self):
-        """Per-static numpy tables for vectorized warm replay.
+    def _np_tables(self):
+        """Per-static numpy tables for vectorized window scans.
 
-        ``(addresses, trainable, cti)`` indexed by static-table index:
-        the address vector feeds the icache-line scan, ``trainable``
-        gates :meth:`ArtifactReplayWalker.warm_skip` training (flow
-        codes 1-5) and ``cti`` gates the trace-warmup window's training
-        (every CTI class, mirroring ``MacroInstruction.is_cti``).
+        ``(addresses, flow, uops, trainable, cti)`` indexed by static-table
+        index: addresses feed the icache-line scan and the backward-branch
+        test, flow codes and uop counts the selection scan, ``trainable``
+        gates :meth:`ArtifactReplayWalker.warm_skip` training — it mirrors
+        the generating walker's plan compilation, where flow codes 1-5
+        train and software interrupts (flow code 6) are remapped to plain
+        fall-through — and ``cti`` gates the trace-warmup window's
+        training (every CTI class, mirroring ``MacroInstruction.is_cti``).
         """
-        if self._warm_np is None:
-            addresses, trainable = self._warm_tables()
-            flow, _ = self._select_tables()
-            self._warm_np = (
+        if self._np is None:
+            addresses, flow, uops = self._select_tables()
+            flow_np = np.array(flow, dtype=np.int8)
+            self._np = (
                 np.array(addresses, dtype=np.uint64),
-                np.array(trainable, dtype=np.bool_),
-                np.array([code != 0 for code in flow], dtype=np.bool_),
+                flow_np,
+                np.array(uops, dtype=np.int64),
+                (flow_np >= 1) & (flow_np <= 5),
+                flow_np != 0,
             )
-        return self._warm_np
-
-    def _scan_tables(self):
-        """Whole-record selection-scan tables (boundary-jumping warmup).
-
-        ``(cum_uops, ctrl_rows, ctrl_kinds, cond_rows, cond_taken)``:
-        the cumulative uop count per row (capacity boundaries fall out of
-        one ``searchsorted``), the rows whose flow can close a base or
-        move the call-context counter — calls (kind 0), returns (1),
-        backward-taken branches and backward direct jumps (2), indirect
-        jumps (3) and software interrupts (4) — and the conditional-branch
-        rows with their taken flags (the direction-string bits).  All of
-        it is a pure function of the recorded stream, computed vectorized
-        once per loaded artifact and shared by every scan over it.
-        """
-        if self._scan is None:
-            addresses, _ = self._warm_tables()
-            flow, uops = self._select_tables()
-            dyn = self._dyn
-            idx = dyn["index"]
-            code = np.asarray(flow, dtype=np.int8)[idx]
-            taken = dyn["taken"]
-            backward = dyn["next"] <= np.asarray(
-                addresses, dtype=np.uint64
-            )[idx]
-            is_cond = code == FLOW_COND_BRANCH
-            kind = np.full(len(dyn), -1, dtype=np.int8)
-            kind[code == FLOW_CALL] = 0
-            kind[code == FLOW_RETURN] = 1
-            kind[(is_cond & taken & backward)
-                 | ((code == FLOW_DIRECT_JUMP) & backward)] = 2
-            kind[code == FLOW_INDIRECT_JUMP] = 3
-            kind[code == FLOW_SOFTWARE_INT] = 4
-            ctrl = np.flatnonzero(kind >= 0)
-            cond = np.flatnonzero(is_cond)
-            self._scan = (
-                np.cumsum(np.asarray(uops, dtype=np.int64)[idx]).tolist(),
-                ctrl.tolist(),
-                kind[ctrl].tolist(),
-                cond.tolist(),
-                taken[cond].tolist(),
-            )
-        return self._scan
+        return self._np
 
     def walker(self) -> ArtifactReplayWalker:
         """A fresh replay walker positioned at the first record."""

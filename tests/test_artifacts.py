@@ -10,8 +10,12 @@ sweeping, and the engine-level counters that surface it all.
 """
 
 import dataclasses
+import hashlib
 import json
+import multiprocessing
 import shutil
+import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -52,6 +56,30 @@ def _compile(app_name: str, root, length: int = LENGTH) -> TraceArtifact:
 
 def _rows(records):
     return [(r.instr, r.taken, r.next_address, r.mem_addr) for r in records]
+
+
+def _digest(records) -> str:
+    """Order-sensitive digest of decoded dynamic records (picklable)."""
+    h = hashlib.sha256()
+    for r in records:
+        h.update(repr(
+            (r.instr.address, r.taken, r.next_address, r.mem_addr)
+        ).encode())
+    return h.hexdigest()
+
+
+def _recompile_truncated(root, app_name, length, barrier, results):
+    """Child process: see the truncated artifact, then race to replace it.
+
+    Every racer probes the cache first (and must miss on the truncated
+    record), waits at ``barrier`` so the recompiles and publishes overlap,
+    then replays whatever artifact it ends up with.
+    """
+    app = application(app_name)
+    missed = ArtifactCache(root).load(app.name, app.seed, length) is None
+    barrier.wait(timeout=60)
+    artifact = compile_artifact(app, app.seed, length, root=root)
+    results.put((missed, _digest(artifact.stream().take_batch(length))))
 
 
 def _holed_app(row: int = 100):
@@ -153,6 +181,32 @@ class TestSimulatorParity:
         artifact = _compile("swim", tmp_path, length)
         sampled = simulator.simulate(artifact, RunOptions(sampling=sampling))
         assert sampled.to_dict() == direct.to_dict()
+
+
+class TestReplayMemory:
+    """Replay memory follows the windows a run touches, not the record."""
+
+    @staticmethod
+    def _replay_peak(root, length: int) -> int:
+        artifact = _compile("swim", root, length)
+        simulator = ParrotSimulator(model_config("TON"))
+        options = RunOptions(sampling=SamplingConfig.adaptive())
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # unmet-phase notices
+                simulator.simulate(artifact, options)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sampled_replay_peak_is_flat_in_record_length(self, tmp_path):
+        # Warm the simulator-side memos (prewarm image, plan caches) so
+        # neither measurement pays one-off allocations the other skips.
+        self._replay_peak(tmp_path, 20_000)
+        short = self._replay_peak(tmp_path, 100_000)
+        long = self._replay_peak(tmp_path, 400_000)
+        assert long <= 1.5 * short, (short, long)
 
 
 class TestArtifactKey:
@@ -268,6 +322,47 @@ class TestArtifactCache:
         assert info.stale_tmp == 1 and info.entries == 1
         assert not orphan.exists()
         assert cache.info().stale_tmp == 0
+
+    def test_truncated_artifact_concurrent_recompile_across_processes(
+        self, tmp_path
+    ):
+        length = 3 * _COMPILE_BATCH
+        app = application("gzip")
+        artifact = compile_artifact(app, app.seed, length, root=tmp_path)
+        part = artifact.path / "dyn.npy"
+        part.write_bytes(part.read_bytes()[: part.stat().st_size // 2])
+        direct = _digest(app.build().stream(length).take_batch(length))
+
+        racers = 3
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(racers)
+        results = ctx.Queue()
+        procs = [
+            ctx.Process(
+                target=_recompile_truncated,
+                args=(tmp_path, app.name, length, barrier, results),
+            )
+            for _ in range(racers)
+        ]
+        try:
+            for proc in procs:
+                proc.start()
+            outcomes = [results.get(timeout=120) for _ in procs]
+            for proc in procs:
+                proc.join(timeout=60)
+                assert proc.exitcode == 0
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join(timeout=10)
+        assert outcomes == [(True, direct)] * racers
+        # One published directory, nothing beside it: no temp dirs, no
+        # corrupt copies moved aside.
+        assert list(tmp_path.glob("*/*")) == [artifact.path]
+        assert _digest(
+            TraceArtifact.load(artifact.path).stream().take_batch(length)
+        ) == direct
 
     def test_racing_compile_is_idempotent(self, tmp_path):
         app = application("gzip")

@@ -12,9 +12,11 @@ Three contracts, in the style of ``tests/test_optimizer_property.py``:
   replay produce the same profile for the same window, so classifier
   state round-trips through ``skip``/``warm_skip`` without divergence;
 * :class:`~repro.trace.selection.ColumnarSelector` (both its
-  boundary-jumping scan and its per-row mirror loop) segments a recorded
-  stream exactly like the reference :class:`TraceSelector`, including
-  the in-progress state handed over by ``transfer``.
+  boundary-jumping window scan and its per-row mirror loop) segments a
+  recorded stream exactly like the reference :class:`TraceSelector` —
+  for windows opening at any row, delivered in one batch or many, up to
+  the record's last row — including the in-progress state handed over
+  by ``transfer``.
 """
 
 from __future__ import annotations
@@ -212,8 +214,12 @@ def _reference_scan(stream, total):
     return selector, segments, seen
 
 
-def _columnar_scan(stream, total, *, use_scan: bool):
-    """Mirror ``_reference_scan`` through a ColumnarSelector + transfer."""
+def _columnar_scan(stream, total, *, use_scan: bool, batch: int | None = None):
+    """Mirror ``_reference_scan`` through a ColumnarSelector + transfer.
+
+    ``batch`` caps each ``consume_raw`` pull, so one window reaches the
+    scanner in several batches (each scanned as its own row window).
+    """
     selector = TraceSelector()
     scanner = None
     segments = []
@@ -221,10 +227,11 @@ def _columnar_scan(stream, total, *, use_scan: bool):
     def on_segment(segment, position):
         segments.append((segment, position))
     while consumed < total:
-        raw = stream.consume_raw(total - consumed)
+        want = total - consumed
+        raw = stream.consume_raw(want if batch is None else min(batch, want))
         if raw is None:
             break
-        walker, lo, index, taken, nxt, _mem = raw
+        walker, lo, index, taken, nxt = raw
         if not index:
             break
         if scanner is None:
@@ -233,7 +240,7 @@ def _columnar_scan(stream, total, *, use_scan: bool):
             )
             scanner = selector.columnar_scanner(
                 walker.materialize, flow, uop_counts, addresses,
-                scan=(walker.scan_tables() if use_scan else None),
+                scan=(walker.scan_tables if use_scan else None),
             )
         scanner.consume(lo, index, taken, nxt, consumed, on_segment)
         consumed += len(index)
@@ -254,6 +261,50 @@ def _segment_key(segment, position):
     )
 
 
+def _assert_window_matches_reference(artifact, start, total, *,
+                                     use_scan, batch=None):
+    """Scan rows ``[start, start + total)`` both ways and compare.
+
+    The segments, their window-relative positions, the termination
+    histogram and the state handed over by ``transfer`` (checked by
+    feeding both selectors the same object tail, final flush included)
+    must all match the reference :meth:`TraceSelector.advance` loop.
+    """
+    ref_stream = artifact.stream()
+    col_stream = artifact.stream()
+    assert ref_stream.skip(start) == col_stream.skip(start)
+    ref_sel, ref_segments, ref_seen = _reference_scan(ref_stream, total)
+    col_sel, col_segments, col_seen = _columnar_scan(
+        col_stream, total, use_scan=use_scan, batch=batch
+    )
+    assert col_seen == ref_seen
+    assert (
+        [_segment_key(s, p) for s, p in col_segments]
+        == [_segment_key(s, p) for s, p in ref_segments]
+    )
+    assert col_sel.terminations == ref_sel.terminations
+
+    # The transferred in-progress state must continue identically:
+    # feed both selectors the same object tail and compare everything
+    # that completes (including the final flush).
+    tail_ref = []
+    tail_col = []
+    for dyn in ref_stream.take_batch(600):
+        completed = ref_sel.advance(dyn)
+        if completed is not None:
+            tail_ref.extend(completed)
+    for dyn in col_stream.take_batch(600):
+        completed = col_sel.advance(dyn)
+        if completed is not None:
+            tail_col.extend(completed)
+    tail_ref.extend(ref_sel.flush())
+    tail_col.extend(col_sel.flush())
+    assert (
+        [_segment_key(s, 0) for s in tail_col]
+        == [_segment_key(s, 0) for s in tail_ref]
+    )
+
+
 class TestColumnarSelectorEquivalence:
     """ColumnarSelector mirrors TraceSelector.advance bit-for-bit."""
 
@@ -266,39 +317,38 @@ class TestColumnarSelectorEquivalence:
     def test_segments_and_transferred_state_match_reference(
         self, replay, app_name, total, use_scan
     ):
-        artifact = replay[app_name]
-        ref_stream = artifact.stream()
-        col_stream = artifact.stream()
-        ref_sel, ref_segments, ref_seen = _reference_scan(ref_stream, total)
-        col_sel, col_segments, col_seen = _columnar_scan(
-            col_stream, total, use_scan=use_scan
+        _assert_window_matches_reference(
+            replay[app_name], 0, total, use_scan=use_scan
         )
-        assert col_seen == ref_seen
-        assert (
-            [_segment_key(s, p) for s, p in col_segments]
-            == [_segment_key(s, p) for s, p in ref_segments]
-        )
-        assert col_sel.terminations == ref_sel.terminations
 
-        # The transferred in-progress state must continue identically:
-        # feed both selectors the same object tail and compare everything
-        # that completes (including the final flush).
-        tail_ref = []
-        tail_col = []
-        for dyn in ref_stream.take_batch(600):
-            completed = ref_sel.advance(dyn)
-            if completed is not None:
-                tail_ref.extend(completed)
-        for dyn in col_stream.take_batch(600):
-            completed = col_sel.advance(dyn)
-            if completed is not None:
-                tail_col.extend(completed)
-        tail_ref.extend(ref_sel.flush())
-        tail_col.extend(col_sel.flush())
-        assert (
-            [_segment_key(s, 0) for s in tail_col]
-            == [_segment_key(s, 0) for s in tail_ref]
+    @settings(max_examples=12, deadline=None)
+    @given(
+        app_name=st.sampled_from(APPS),
+        start=st.integers(min_value=1, max_value=REPLAY_LENGTH - 64),
+        total=st.integers(min_value=64, max_value=3000),
+        batch=st.one_of(st.none(), st.integers(min_value=1, max_value=700)),
+        use_scan=st.booleans(),
+    )
+    def test_window_after_skip_in_batches_matches_reference(
+        self, replay, app_name, start, total, batch, use_scan
+    ):
+        """Windows opening mid-record, delivered in one or many batches."""
+        _assert_window_matches_reference(
+            replay[app_name], start, total, use_scan=use_scan, batch=batch
         )
+
+    @pytest.mark.parametrize("batch", [None, 1, 97])
+    @pytest.mark.parametrize("use_scan", [True, False])
+    def test_window_ending_at_the_last_row_matches_reference(
+        self, replay, batch, use_scan
+    ):
+        """A window whose final row is the record's last row."""
+        for app_name in APPS:
+            total = 1777
+            _assert_window_matches_reference(
+                replay[app_name], REPLAY_LENGTH - total, total,
+                use_scan=use_scan, batch=batch,
+            )
 
     def test_scan_and_row_paths_agree_on_the_whole_record(self, replay):
         """The boundary-jumping scan equals the per-row mirror loop."""
