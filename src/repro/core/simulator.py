@@ -267,8 +267,9 @@ class ColdPlanCache:
 
 
 #: What :meth:`ParrotSimulator.simulate` accepts as a source: an
-#: :class:`~repro.workloads.suite.Application` (plus ``length``), a raw
-#: :class:`~repro.workloads.stream.InstructionStream`, or a compiled
+#: :class:`~repro.workloads.suite.Application` (plus ``length``), an
+#: :class:`~repro.workloads.stream.InstructionStream` over a program walker
+#: or a recorded trace, or a compiled
 #: :class:`~repro.workloads.tracefile.TraceArtifact`.
 SimSource = "Application | InstructionStream | TraceArtifact"
 
@@ -375,7 +376,7 @@ class ParrotSimulator:
                 )
             if sampled and length is None:
                 raise SimulationError(
-                    f"{label}: a sampled run over a raw stream needs an "
+                    f"{label}: a sampled run over a stream needs an "
                     f"explicit length"
                 )
             stream = source

@@ -31,6 +31,8 @@ and replays them for every model in the chunk (models with equal fetch
 parameters share compiled cold plans through the cache).
 Workers are reused processes, so per-worker memos also amortise model
 configs, simulators and applications across everything a worker executes.
+The serial path (one job, or a single missing cell) runs the same chunks
+in-process through the same :func:`simulate_chunk`.
 
 Scale knobs (application count, run length, worker count, cache on/off,
 artifact cache on/off, sampling regime) are unified in the
@@ -578,17 +580,19 @@ class ResultStore:
 # per-cell setup cost across every cell a worker ever executes: model
 # configs and simulators by model name, Application handles by app name,
 # and the two most recent (artifact, shared segment partition, cold-plan
-# memo) entries by (cache root, app, length).  ParrotSimulator keeps no
-# state across runs
-# (everything lives in a per-run machine), so sharing one instance per
-# model is safe; the artifact memo is a tiny LRU because one decoded
-# instruction list plus its segment partition is the only per-app state
-# worth holding, and chunk scheduling gives each worker app affinity.
+# memo) entries by (cache root, app, length).  The serial engine path runs
+# the same chunks in-process and clears the artifact memo after each pass.
+# ParrotSimulator keeps no state across runs (everything lives in a
+# per-run machine), so sharing one instance per model is safe; the
+# artifact memo is a tiny LRU because one artifact plus its segment
+# partition is the only per-app state worth holding, and chunk scheduling
+# gives each worker app affinity.
 _WORKER_SIMULATORS: dict[str, ParrotSimulator] = {}
 _WORKER_APPS: dict[str, Application] = {}
 _WORKER_ARTIFACT_CACHES: dict[str, ArtifactCache] = {}
 _WORKER_ARTIFACTS: OrderedDict[tuple[str, str, int], list] = OrderedDict()
 _WORKER_ARTIFACT_LIMIT = 2
+_SERIAL_PASS = threading.Lock()
 
 
 def _worker_simulator(model_name: str) -> ParrotSimulator:
@@ -681,7 +685,7 @@ def simulate_chunk(
     artifact_root: str | None = None,
     task_fn: Callable[..., dict] | None = None,
 ) -> dict:
-    """Worker entry point: run a chunk of grid cells in one pool call.
+    """Run a chunk of grid cells: one pool call, or one serial step.
 
     ``cells`` share one application by construction (see
     ``ExperimentEngine._plan_chunks``), so with ``artifact_root`` set the
@@ -788,11 +792,9 @@ class ExperimentEngine:
         self.shard = shard
         self.artifact_cache = ArtifactCache(artifact_root) if artifacts else None
         self.simulations_run = 0
-        self._simulators: dict[str, ParrotSimulator] = {}
         self._configs: dict[str, MachineConfig] = {}
-        self._artifact_memo: OrderedDict[str, list] = OrderedDict()
-        self._pool_artifact_hits = 0
-        self._pool_artifact_compiles = 0
+        self._artifact_hits = 0
+        self._artifact_compiles = 0
         self._reported_done = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -804,15 +806,13 @@ class ExperimentEngine:
 
     @property
     def artifact_hits(self) -> int:
-        """Compiled trace artifacts loaded from disk (engine + workers)."""
-        own = self.artifact_cache.hits if self.artifact_cache else 0
-        return own + self._pool_artifact_hits
+        """Compiled trace artifacts loaded from disk (in-process + workers)."""
+        return self._artifact_hits
 
     @property
     def artifact_compiles(self) -> int:
-        """Compiled trace artifacts built from scratch (engine + workers)."""
-        own = self.artifact_cache.compiles if self.artifact_cache else 0
-        return own + self._pool_artifact_compiles
+        """Compiled trace artifacts built from scratch (in-process + workers)."""
+        return self._artifact_compiles
 
     def _config(self, model_name: str) -> MachineConfig:
         if model_name not in MODEL_NAMES:
@@ -882,79 +882,62 @@ class ExperimentEngine:
                 label = f"{self.shard}:{label}"
             self.progress(done, total, label, source)
 
-    def _simulator(self, model_name: str) -> ParrotSimulator:
-        if model_name not in self._simulators:
-            self._simulators[model_name] = ParrotSimulator(
-                self._config(model_name)
-            )
-        return self._simulators[model_name]
+    def _chunk_args(self) -> tuple[Callable[..., dict] | None, str | None]:
+        """The ``(task_fn, artifact_root)`` every :func:`simulate_chunk` gets.
 
-    def _serial_artifact(
-        self, app_name: str
-    ) -> tuple[TraceArtifact, list | None, ColdPlanCache | None]:
-        """In-process analogue of the worker artifact memo (LRU of 2)."""
-        entry = self._artifact_memo.get(app_name)
-        if entry is None:
-            artifact = self.artifact_cache.get_or_compile(
-                application(app_name), self.length
-            )
-            entry = [artifact, None, None]
-            self._artifact_memo[app_name] = entry
-            while len(self._artifact_memo) > _WORKER_ARTIFACT_LIMIT:
-                self._artifact_memo.popitem(last=False)
-        else:
-            self._artifact_memo.move_to_end(app_name)
-        if self.sampling is not None:
-            return entry[0], None, None
-        if entry[1] is None:
-            entry[1] = entry[0].segments()
-            entry[2] = ColdPlanCache(entry[1])
-        return entry[0], entry[1], entry[2]
+        A custom task_fn (test harness) is forwarded per cell inside the
+        chunk call; the default path replays artifacts when they are on.
+        """
+        custom = None if self.task_fn is simulate_task else self.task_fn
+        root = (
+            str(self.artifact_cache.root)
+            if custom is None and self.artifact_cache is not None
+            else None
+        )
+        return custom, root
+
+    def _collect(self, payload: dict, chunk: list[Task], tag: str,
+                 results: dict[Task, SimulationResult], done: int,
+                 total: int) -> int:
+        """Fold one chunk's payload into ``results``; returns the new count."""
+        self._artifact_hits += payload["artifact_hits"]
+        self._artifact_compiles += payload["artifact_compiles"]
+        for task, cell in zip(chunk, payload["results"]):
+            results[task] = SimulationResult.from_dict(cell)
+            self.simulations_run += 1
+            done += 1
+            self._report(done, total, task, "run", chunk=tag)
+        return done
 
     def _run_serial(
         self, tasks: list[Task], *, done: int, total: int
     ) -> dict[Task, SimulationResult]:
         for model_name, _ in tasks:
             self._config(model_name)  # validate names before simulating
-        # Group cells into per-application chunks (the same planner the
-        # pool path uses, one "worker") so the artifact and its shared
-        # segment partition are resolved once per app and replayed for
-        # every model — and so progress lines carry the same chunk labels
-        # the parallel path reports.
+        # The pool path's per-application chunks, run in-process through
+        # the workers' own simulate_chunk: the artifact and its shared
+        # segment partition resolve once per app, a custom task_fn runs
+        # per cell, and progress lines carry the same chunk labels.
         chunks = self._plan_chunks(tasks, 1)
-        use_artifacts = (
-            self.artifact_cache is not None and self.task_fn is simulate_task
-        )
+        custom, root = self._chunk_args()
         results: dict[Task, SimulationResult] = {}
-        for index, chunk in enumerate(chunks):
-            tag = f"chunk {index + 1}/{len(chunks)}"
-            app_name = chunk[0][1]
-            artifact = segments = plan_cache = None
-            if use_artifacts:
-                artifact, segments, plan_cache = self._serial_artifact(
-                    app_name
-                )
-            for model_name, _ in chunk:
-                simulator = self._simulator(model_name)
-                if artifact is not None:
-                    result = simulator.simulate(
-                        artifact,
-                        RunOptions(
-                            sampling=self.sampling,
-                            segments=segments, cold_plans=plan_cache,
-                        ),
+        # The worker memos are process-wide, so serial passes on different
+        # threads (the serve front end's job lane) take turns.
+        with _SERIAL_PASS:
+            try:
+                for index, chunk in enumerate(chunks):
+                    payload = simulate_chunk(
+                        chunk, self.length, self.sampling,
+                        artifact_root=root, task_fn=custom,
                     )
-                else:
-                    result = simulator.simulate(
-                        application(app_name),
-                        RunOptions(sampling=self.sampling),
-                        length=self.length,
-                    )
-                results[(model_name, app_name)] = result
-                self.simulations_run += 1
-                done += 1
-                self._report(done, total, (model_name, app_name), "run",
-                             chunk=tag)
+                    done = self._collect(payload, chunk,
+                                         f"chunk {index + 1}/{len(chunks)}",
+                                         results, done, total)
+            finally:
+                # A pool worker's artifact memo dies with its pass; so
+                # does this process's, so a later pass re-resolves (and
+                # counts) its artifacts exactly as a fresh pool would.
+                _WORKER_ARTIFACTS.clear()
         return results
 
     def _run_parallel(
@@ -1022,14 +1005,7 @@ class ExperimentEngine:
     ) -> int:
         chunks = self._plan_chunks(tasks, self.jobs)
         workers = min(self.jobs, len(chunks))
-        # A custom task_fn (test harness) is forwarded per cell inside the
-        # chunk call; the default path runs artifact-backed in the worker.
-        custom = None if self.task_fn is simulate_task else self.task_fn
-        root = (
-            str(self.artifact_cache.root)
-            if custom is None and self.artifact_cache is not None
-            else None
-        )
+        custom, root = self._chunk_args()
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=self.mp_context
         ) as pool:
@@ -1073,13 +1049,8 @@ class ExperimentEngine:
                             f"simulation of {self._chunk_label(chunk)} "
                             f"failed: {type(exc).__name__}: {exc}"
                         ) from exc
-                    self._pool_artifact_hits += payload["artifact_hits"]
-                    self._pool_artifact_compiles += payload["artifact_compiles"]
-                    for task, cell in zip(chunk, payload["results"]):
-                        results[task] = SimulationResult.from_dict(cell)
-                        self.simulations_run += 1
-                        done += 1
-                        self._report(done, total, task, "run", chunk=tag)
+                    done = self._collect(payload, chunk, tag, results,
+                                         done, total)
                 if broken is not None:
                     raise broken
         return done

@@ -25,7 +25,7 @@ from repro.experiments.aggregate import (
 from repro.experiments.runner import ExperimentRunner
 from repro.models.configs import MODEL_NAMES, model_config
 from repro.power.energy import COMPONENTS
-from repro.workloads.suite import KILLER_APPS
+from repro.workloads.suite import KILLER_APPS, application
 
 
 @dataclass(slots=True)
@@ -286,9 +286,14 @@ def fig4_11(runner: ExperimentRunner) -> FigureData:
         title="Energy breakdown (fraction of total)",
         unit="rate",
     )
-    for app_name in BREAKDOWN_APPS:
+    # One engine batch for all nine cells, so each application's artifact
+    # and segment partition resolve once for its three models.
+    grid = runner.grid(
+        list(BREAKDOWN_MODELS), [application(a) for a in BREAKDOWN_APPS]
+    )
+    for index, app_name in enumerate(BREAKDOWN_APPS):
         for model in BREAKDOWN_MODELS:
-            result = runner.result(model, app_name)
+            result = grid[model][index]
             assert result.energy is not None
             shares = {
                 component: result.energy.component_share(component)

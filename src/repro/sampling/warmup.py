@@ -69,12 +69,13 @@ class WarmupPolicy:
 
         Returns the number of instructions actually skipped.
         """
-        return stream.skip(count, warm=(
+        return stream.warm_skip(
+            count,
             self.hierarchy.warm_fetch,
             self.hierarchy.warm_data,
             self.bpred.warm_train,
             self._line_shift,
-        ))
+        )
 
     def warm(self, stream, count: int, selector, cpi: float = 1.0) -> int:
         """Consume up to ``count`` instructions from ``stream``, training
@@ -131,9 +132,10 @@ class WarmupPolicy:
 
     def _warm_columns(self, stream, count: int, selector, cpi: float,
                       clock: float) -> int:
-        """Columnar fast path of :meth:`warm` over recorded artifact rows.
+        """Columnar fast path of :meth:`warm` over recorded rows.
 
-        When the stream replays a compiled artifact, the window is warmed
+        When the stream replays a recorded dynamic record (a compiled
+        artifact or a loaded trace file), the window is warmed
         from raw column slices: the warming side effects (icache probe
         per new line, dcache touch per access, predictor training per
         CTI) replay without decoding instruction objects, and segment
@@ -148,13 +150,10 @@ class WarmupPolicy:
         scanner reports exactly.
 
         Returns the number of instructions consumed; ``0`` means the fast
-        path does not apply (generating walker, buffered lookahead, or a
-        selector that already holds state) and the caller must run the
-        reference loop.
+        path does not apply (a generating walker, or a selector that
+        already holds state) and the caller must run the reference loop.
         """
-        consume_raw = getattr(stream, "consume_raw", None)
-        if (consume_raw is None or count <= 0
-                or not getattr(selector, "pristine", False)):
+        if count <= 0 or not selector.pristine:
             return 0
         hierarchy = self.hierarchy
         fetch = hierarchy.warm_fetch
@@ -170,25 +169,22 @@ class WarmupPolicy:
             train_segment(segment, clock + position * cpi)
 
         while consumed < count:
-            raw = consume_raw(count - consumed)
+            raw = stream.consume_raw(count - consumed)
             if raw is None:
                 break
-            walker, lo, index, taken, nxt = raw
+            walker, lo, index = raw
             if not index:
                 break
             if scanner is None:
-                instructions, addresses, flow, uop_counts = (
-                    walker.select_tables()
-                )
                 scanner = selector.columnar_scanner(
-                    walker.materialize, flow, uop_counts, addresses,
-                    scan=getattr(walker, "scan_tables", None),
+                    walker.materialize, walker.static_addresses(),
+                    walker.scan_tables,
                 )
             last_line = walker.warm_effects(
                 lo, lo + len(index), fetch, touch_data, predict_and_train,
                 line_shift, last_line,
             )
-            scanner.consume(lo, index, taken, nxt, consumed, on_segment)
+            scanner.consume(lo, index, consumed, on_segment)
             consumed += len(index)
         if scanner is not None:
             scanner.transfer(selector)

@@ -124,21 +124,19 @@ class TraceSelector:
             and not self._instructions
         )
 
-    def columnar_scanner(self, materialize, flow, uop_counts,
-                         addresses, scan=None) -> "ColumnarSelector":
+    def columnar_scanner(self, materialize, addresses,
+                         scan) -> "ColumnarSelector":
         """A :class:`ColumnarSelector` that can hand its state to us.
 
         Built through the selector so the warmup policy (a deliberately
         import-free module) never names the columnar class; the scanner
         shares this selector's capacity and finishes with
-        :meth:`ColumnarSelector.transfer` into it.  ``scan`` — an
-        artifact's window scan provider, ``scan(lo, hi)`` returning the
-        selection-scan tables of rows ``[lo, hi)`` — upgrades the scanner
-        from the per-row mirror loop to the boundary-jumping scan.
+        :meth:`ColumnarSelector.transfer` into it.  ``scan`` is the
+        record's window scan provider: ``scan(lo, hi)`` returns the
+        selection-scan tables of rows ``[lo, hi)``.
         """
         return ColumnarSelector(
-            self.capacity_uops, materialize, flow, uop_counts, addresses,
-            scan=scan,
+            self.capacity_uops, materialize, addresses, scan
         )
 
     # -- feeding ------------------------------------------------------------
@@ -390,12 +388,11 @@ class ColumnarSegment:
 
 
 class ColumnarSelector:
-    """Selection over raw recorded columns (the artifact warmup fast path).
+    """Selection over a recorded dynamic record (the warmup fast path).
 
-    Mirrors :meth:`TraceSelector.advance` instruction for instruction,
-    but consumes plain column slices — static-table index, taken flag,
-    successor address — instead of :class:`DynamicInstruction` objects,
-    and tracks each in-progress base as a row *range* instead of
+    Reproduces :meth:`TraceSelector.advance` exactly, but reads the
+    record's window scan tables instead of :class:`DynamicInstruction`
+    objects, and tracks each in-progress base as a row *range* instead of
     buffering instruction objects.  Joined bases are consecutive and
     therefore contiguous, so a row range survives joining.
 
@@ -409,19 +406,15 @@ class ColumnarSelector:
     """
 
     __slots__ = (
-        "capacity_uops", "_materialize", "_flow", "_uop_tab", "_addr_tab",
-        "_scan",
+        "capacity_uops", "_materialize", "_addr_tab", "_scan",
         "_base_lo", "_row", "_uops", "_start", "_directions",
         "_num_branches", "_context_depth", "_pending", "_pending_base_tid",
         "terminations",
     )
 
-    def __init__(self, capacity_uops: int, materialize, flow, uop_counts,
-                 addresses, scan=None):
+    def __init__(self, capacity_uops: int, materialize, addresses, scan):
         self.capacity_uops = capacity_uops
         self._materialize = materialize
-        self._flow = flow
-        self._uop_tab = uop_counts
         self._addr_tab = addresses
         self._scan = scan
         self._base_lo = 0
@@ -442,33 +435,22 @@ class ColumnarSelector:
             "joined": 0,
         }
 
-    def consume(self, lo: int, indices, taken, nexts, offset: int,
-                on_segment) -> None:
-        """Scan one column batch starting at global row ``lo``.
+    def consume(self, lo: int, indices, offset: int, on_segment) -> None:
+        """Scan one batch of recorded rows starting at global row ``lo``.
 
-        ``offset`` is the number of instructions already consumed in the
-        surrounding window; every completed segment is delivered through
+        ``indices`` are the rows' static-table indices.  ``offset`` is the
+        number of instructions already consumed in the surrounding window;
+        every completed segment is delivered through
         ``on_segment(segment, position)`` where ``position`` counts the
         emitting instruction (1-based, window-relative) — the same value
         the reference per-instruction loop would see in ``consumed``.
+        State- and emission-identical to feeding
+        :meth:`TraceSelector.advance`.
 
-        With a window scan provider the scan jumps boundary to
-        boundary (:meth:`_consume_scan`); without one it mirrors the
-        reference selector row by row (:meth:`_consume_rows`).  Both are
-        state- and emission-identical to feeding :meth:`TraceSelector.advance`.
-        """
-        if self._scan is not None:
-            self._consume_scan(lo, indices, offset, on_segment)
-        else:
-            self._consume_rows(lo, indices, taken, nexts, offset, on_segment)
-
-    def _consume_scan(self, lo: int, indices, offset: int,
-                      on_segment) -> None:
-        """Boundary-jumping scan over the batch's window scan tables.
-
-        The provider scans exactly the batch's rows ``[lo, end)``: its
-        cumulative-uop list is window-relative with a leading 0 (row
-        ``r`` is at ``cum[r - lo + 1]``), its ctrl/cond rows are global.
+        The window scan provider scans exactly the batch's rows
+        ``[lo, end)``: its cumulative-uop list is window-relative with a
+        leading 0 (row ``r`` is at ``cum[r - lo + 1]``), its ctrl/cond
+        rows are global.
         A base left open at the batch end carries over in the selector
         state, so batches chain exactly like one long window.
 
@@ -478,9 +460,8 @@ class ColumnarSelector:
         cumulative-uop column answers "does it still fit?" in O(1) —
         with one ``bisect`` only on the capacity-close path — and the
         direction string is gathered from the conditional-branch rows of
-        the closed range.  Identical state transitions to the per-row
-        mirror, visiting only events.  (Assumes every instruction
-        decodes to at least one uop, as the ISA guarantees: a
+        the closed range, visiting only events.  (Assumes every
+        instruction decodes to at least one uop, as the ISA guarantees: a
         hypothetical zero-uop row directly after an over-capacity
         instruction would extend the base the reference loop closes.)
         """
@@ -615,90 +596,6 @@ class ColumnarSelector:
         self._context_depth = depth
         self._base_lo = base_lo
         self._row = end
-
-    def _consume_rows(self, lo: int, indices, taken, nexts, offset: int,
-                      on_segment) -> None:
-        """Per-row mirror of :meth:`TraceSelector.advance` (no scan tables)."""
-        capacity = self.capacity_uops
-        flow = self._flow
-        uop_tab = self._uop_tab
-        addr_tab = self._addr_tab
-        terminations = self.terminations
-        uops = self._uops
-        start = self._start
-        directions = self._directions
-        num_branches = self._num_branches
-        depth = self._context_depth
-        base_lo = self._base_lo
-        row = lo
-        position = offset
-        for s, t, n in zip(indices, taken, nexts):
-            position += 1
-            num_uops = uop_tab[s]
-            if uops and uops + num_uops > capacity:
-                terminations["capacity"] += 1
-                finished = self._close_push(
-                    start, directions, num_branches, uops, base_lo, row
-                )
-                if finished is not None:
-                    on_segment(finished, position)
-                uops = 0
-                start = None
-            if start is None:
-                start = addr_tab[s]
-                directions = 0
-                num_branches = 0
-                depth = 0
-                base_lo = row
-            row += 1
-            uops += num_uops
-            code = flow[s]
-            if not code:
-                continue
-            terminate = False
-            if code == FLOW_COND_BRANCH:
-                if t:
-                    directions |= 1 << num_branches
-                    num_branches += 1
-                    if n <= addr_tab[s]:
-                        terminations["backward_taken"] += 1
-                        terminate = True
-                else:
-                    num_branches += 1
-            elif code == FLOW_DIRECT_JUMP:
-                if n <= addr_tab[s]:
-                    terminations["backward_taken"] += 1
-                    terminate = True
-            elif code == FLOW_CALL:
-                depth += 1
-            elif code == FLOW_RETURN:
-                if depth == 0:
-                    terminations["return_exit"] += 1
-                    terminate = True
-                else:
-                    depth -= 1
-            elif code == FLOW_SOFTWARE_INT:
-                terminations["exception"] += 1
-                terminate = True
-            else:  # FLOW_INDIRECT_JUMP
-                terminations["indirect"] += 1
-                terminate = True
-            if terminate:
-                finished = self._close_push(
-                    start, directions, num_branches, uops, base_lo, row
-                )
-                if finished is not None:
-                    on_segment(finished, position)
-                uops = 0
-                start = None
-                depth = 0
-        self._uops = uops
-        self._start = start
-        self._directions = directions
-        self._num_branches = num_branches
-        self._context_depth = depth
-        self._base_lo = base_lo
-        self._row = row
 
     def _close_push(self, start, directions, num_branches, uops,
                     base_lo, end_row) -> ColumnarSegment | None:

@@ -1,22 +1,22 @@
-"""Dynamic instruction streams: the walker and its lookahead wrapper.
+"""Dynamic instruction streams: the generating walker and the bounded stream.
 
 The :class:`StreamWalker` interprets a static :class:`~repro.workloads.program.Program`
 — resolving branch directions, indirect targets and memory addresses from
-the program's behaviour specs — and yields an endless sequence of
+the program's behaviour specs — and produces an endless sequence of
 :class:`~repro.isa.instruction.DynamicInstruction` records, exactly like the
 execution traces driving the paper's simulator.
 
-The :class:`InstructionStream` wraps a walker with a bounded length and a
-lookahead buffer.  Lookahead is how a trace-driven simulator resolves
-speculation: a predicted trace is correct iff its branch directions match
-the *actual* upcoming stream.
+The :class:`InstructionStream` bounds a walker to a run length and is what
+the simulator consumes.  It walks exactly two kinds of walker: the
+generating :class:`StreamWalker`, or the
+:class:`~repro.workloads.tracefile.ArtifactReplayWalker` that replays a
+recorded dynamic record — a compiled artifact or a loaded trace file.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
-from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 from repro.errors import WorkloadError
 from repro.isa.instruction import DynamicInstruction
@@ -26,13 +26,6 @@ from repro.isa.opcodes import (
     FLOW_RETURN,
     FLOW_SOFTWARE_INT,
 )
-
-#: Flow codes whose outcome consumes dynamic state (conditional branch,
-#: return, indirect jump).  Phase signatures count the resolved targets of
-#: exactly these instructions: the set is a pure function of the
-#: instruction sequence, so the generating walker and artifact replay
-#: profile identically (see :mod:`repro.sampling.phases`).
-_DYN_CTI_FLOWS = (FLOW_COND_BRANCH, FLOW_RETURN, FLOW_INDIRECT_JUMP)
 from repro.workloads.behaviors import (
     make_branch_state,
     make_mem_state,
@@ -40,18 +33,29 @@ from repro.workloads.behaviors import (
 )
 from repro.workloads.program import Program
 
+if TYPE_CHECKING:
+    from repro.workloads.tracefile import ArtifactReplayWalker
+
+#: Flow codes whose outcome consumes dynamic state (conditional branch,
+#: return, indirect jump).  Phase signatures count the resolved targets of
+#: exactly these instructions: the set is a pure function of the
+#: instruction sequence, so the generating walker and artifact replay
+#: profile identically (see :mod:`repro.sampling.phases`).
+_DYN_CTI_FLOWS = (FLOW_COND_BRANCH, FLOW_RETURN, FLOW_INDIRECT_JUMP)
+
 
 class StreamWalker:
-    """Deterministically execute a program image, yielding dynamic instructions.
+    """Deterministically execute a program image into dynamic instructions.
 
     The walker owns one seeded RNG shared by all behaviour states, so a
     given ``(program, seed)`` pair always produces the identical stream.
 
-    Interpretation is the innermost loop of every simulation (one call per
-    dynamic instruction), so the walker compiles each static instruction
-    into a *plan* on first execution — flow-dispatch code, static targets
-    and the bound behaviour-state methods — and replays the plan on every
-    later visit, avoiding the enum chain and three dict probes per step.
+    Interpretation is the innermost loop of every generator-driven
+    simulation (one step per dynamic instruction), so the walker compiles
+    each static instruction into a *plan* on first execution —
+    flow-dispatch code, static targets and the bound behaviour-state
+    methods — and replays the plan on every later visit, avoiding the enum
+    chain and three dict probes per step.
     """
 
     __slots__ = (
@@ -120,56 +124,6 @@ class StreamWalker:
         )
         self._plans[address] = plan
         return plan
-
-    def __iter__(self) -> Iterator[DynamicInstruction]:
-        return self
-
-    def __next__(self) -> DynamicInstruction:
-        pc = self._pc
-        plan = self._plans.get(pc)
-        if plan is None:
-            try:
-                instr = self.program.instructions[pc]
-            except KeyError as exc:
-                raise WorkloadError(
-                    f"{self.program.name}: control flowed to unmapped address "
-                    f"{pc:#x}"
-                ) from exc
-            plan = self._compile_plan(instr)
-        (instr, code, taken_target, fallthrough,
-         next_taken, next_mem, next_index, switch_targets) = plan
-
-        if code:
-            if code == 1:  # FLOW_COND_BRANCH
-                taken = next_taken()
-                next_address = taken_target if taken else fallthrough
-            elif code == 2:  # FLOW_DIRECT_JUMP
-                taken = True
-                next_address = taken_target
-            elif code == 3:  # FLOW_CALL
-                taken = True
-                self._call_stack.append(fallthrough)
-                next_address = taken_target
-            elif code == 4:  # FLOW_RETURN
-                taken = True
-                if not self._call_stack:
-                    raise WorkloadError(
-                        f"{self.program.name}: return with empty call stack at "
-                        f"{pc:#x}"
-                    )
-                next_address = self._call_stack.pop()
-            else:  # FLOW_INDIRECT_JUMP
-                taken = True
-                next_address = switch_targets[next_index()]
-        else:
-            taken = False
-            next_address = fallthrough
-
-        mem_addr = next_mem() if next_mem is not None else None
-
-        self._pc = next_address
-        self.executed += 1
-        return DynamicInstruction(instr, taken, next_address, mem_addr)
 
     #: Skip-block compilation stops after this many instructions (bounds
     #: compile time on direct-jump cycles; a capped block simply chains
@@ -543,10 +497,10 @@ class StreamWalker:
     def next_batch(self, count: int) -> list[DynamicInstruction]:
         """Step ``count`` instructions in one call, returning them in order.
 
-        Identical to ``count`` calls of :meth:`__next__`, with the stepping
-        state held in locals across the whole batch — the bulk interface
-        the simulator's segmentation loop uses (the walker is endless, so
-        a full batch is always produced unless control flow faults).
+        The stepping state is held in locals across the whole batch — the
+        bulk interface the simulator's segmentation loop uses (the walker
+        is endless, so a full batch is always produced unless control flow
+        faults).
         """
         out: list[DynamicInstruction] = []
         append = out.append
@@ -679,34 +633,44 @@ class StreamWalker:
 
 
 class InstructionStream:
-    """A bounded dynamic stream with arbitrary lookahead.
+    """A bounded dynamic stream over one of the two walkers.
 
-    ``peek(i)`` returns the instruction ``i`` positions ahead of the cursor
-    (``peek(0)`` is the next instruction to execute) or ``None`` past the
-    end; ``take()`` consumes and returns the next instruction.
+    The walker is either the generating :class:`StreamWalker` or a
+    :class:`~repro.workloads.tracefile.ArtifactReplayWalker` replaying a
+    recorded dynamic record (a compiled artifact or a loaded trace file).
+    Both implement the same bulk interface — ``next_batch``,
+    ``skip(count, profile)`` and ``warm_skip`` — so a stream over either
+    is bit-identical in the full-detail and the sampled regime alike; the
+    walker is checked once, here, and any other iterator is rejected.
+    ``consumed`` counts the instructions taken or skipped so far.
     """
 
-    __slots__ = ("_walker", "_remaining", "_buffer", "consumed")
+    __slots__ = ("_walker", "_remaining", "_replay", "consumed")
 
-    def __init__(self, walker: Iterator[DynamicInstruction], limit: int):
+    def __init__(self, walker: "StreamWalker | ArtifactReplayWalker",
+                 limit: int):
+        # Imported here: the tracefile module builds on this one.
+        from repro.workloads.tracefile import ArtifactReplayWalker
+
+        if not isinstance(walker, (StreamWalker, ArtifactReplayWalker)):
+            raise WorkloadError(
+                f"an InstructionStream walks a StreamWalker or an "
+                f"ArtifactReplayWalker, not a {type(walker).__name__}"
+            )
         if limit <= 0:
             raise WorkloadError(f"stream limit must be positive, got {limit}")
         self._walker = walker
         self._remaining = limit
-        self._buffer: deque[DynamicInstruction] = deque()
+        self._replay = isinstance(walker, ArtifactReplayWalker)
         self.consumed = 0
 
     @classmethod
     def from_artifact(cls, artifact, limit: int | None = None) -> "InstructionStream":
-        """Replay a compiled trace artifact as a bounded stream.
+        """Replay a recorded :class:`~repro.workloads.tracefile.TraceArtifact`.
 
-        ``artifact`` is a
-        :class:`~repro.workloads.tracefile.TraceArtifact` (duck-typed:
-        anything with ``walker()`` and ``__len__``).  The replay walker
-        implements the same bulk interface as :class:`StreamWalker`
-        (``next_batch``/``skip``/``warm_skip``), so the stream is
-        bit-identical to one over the generating walker — the engine's
-        grid fast path rests on that equivalence.
+        ``limit`` defaults to (and is capped at) the record's length.  The
+        stream is bit-identical to one over the generating walker — the
+        engine's grid fast path rests on that equivalence.
         """
         total = len(artifact)
         if limit is None or limit > total:
@@ -716,193 +680,78 @@ class InstructionStream:
     @property
     def exhausted(self) -> bool:
         """True when no instructions remain to consume."""
-        return self._remaining == 0 and not self._buffer
+        return self._remaining == 0
 
-    def _fill(self, count: int) -> None:
-        while len(self._buffer) < count and self._remaining > 0:
-            try:
-                self._buffer.append(next(self._walker))
-            except StopIteration:
-                self._remaining = 0
-                return
-            self._remaining -= 1
-
-    def peek(self, index: int = 0) -> DynamicInstruction | None:
-        """Return the instruction ``index`` ahead of the cursor, if any."""
-        self._fill(index + 1)
-        if index < len(self._buffer):
-            return self._buffer[index]
-        return None
+    def _advance(self, wanted: int, got: int) -> int:
+        """Book ``got`` of ``wanted`` instructions (a short walk ends us)."""
+        self._remaining = self._remaining - got if got == wanted else 0
+        self.consumed += got
+        return got
 
     def take(self) -> DynamicInstruction:
         """Consume and return the next instruction."""
-        self._fill(1)
-        if not self._buffer:
+        batch = self.take_batch(1)
+        if not batch:
             raise WorkloadError("take() on exhausted stream")
-        self.consumed += 1
-        return self._buffer.popleft()
-
-    def take_many(self, count: int) -> list[DynamicInstruction]:
-        """Consume up to ``count`` instructions (fewer at stream end)."""
-        out = []
-        for _ in range(count):
-            if self.exhausted:
-                break
-            out.append(self.take())
-        return out
+        return batch[0]
 
     def take_batch(self, count: int) -> list[DynamicInstruction]:
         """Consume up to ``count`` instructions in one call (bulk take).
 
-        Uses the walker's batch interface when available; an empty list
-        means the stream is exhausted.
+        An empty list means the stream is exhausted.
         """
-        out: list[DynamicInstruction] = []
-        buffer = self._buffer
-        while buffer and len(out) < count:
-            out.append(buffer.popleft())
-        n = count - len(out)
-        if n > self._remaining:
-            n = self._remaining
-        if n > 0:
-            walker = self._walker
-            next_batch = getattr(walker, "next_batch", None)
-            if next_batch is not None:
-                batch = next_batch(n)
-            else:
-                batch = []
-                for _ in range(n):
-                    try:
-                        batch.append(next(walker))
-                    except StopIteration:
-                        self._remaining = 0
-                        break
-            if self._remaining:
-                self._remaining -= len(batch)
-            out.extend(batch)
-        self.consumed += len(out)
-        return out
+        n = min(count, self._remaining)
+        if n <= 0:
+            return []
+        batch = self._walker.next_batch(n)
+        self._advance(n, len(batch))
+        return batch
 
     def consume_raw(self, count: int):
-        """Bulk-consume up to ``count`` instructions as raw column slices.
+        """Bulk-consume up to ``count`` recorded rows without decoding them.
 
-        The columnar-warmup fast path: when the stream replays a
-        recorded artifact (a walker exposing ``raw_batch``) and nothing
-        is buffered, the rows are consumed without decoding
-        :class:`DynamicInstruction` objects and returned as
-        ``(walker, lo, index, taken, next)`` — stream bookkeeping
-        (``consumed``, the remaining budget) advances exactly as a
-        ``take_batch`` of the same rows would.  Returns ``None`` when the
-        fast path does not apply (buffered lookahead, a generating
-        walker, or an exhausted budget); callers must then fall back to
-        the object interface.
+        The columnar-warmup fast path: when the stream replays a recorded
+        dynamic record, the rows are consumed as ``(walker, lo, index)`` —
+        the replay walker, the global row number of the first row and the
+        rows' static-table indices — and stream bookkeeping advances
+        exactly as a ``take_batch`` of the same rows would.  Returns
+        ``None`` over a generating walker (nothing is recorded) or once
+        the budget is spent; callers then take instruction objects.
         """
-        if self._buffer or self._remaining <= 0:
-            return None
-        walker = self._walker
-        raw_batch = getattr(walker, "raw_batch", None)
-        if raw_batch is None:
-            return None
         n = min(count, self._remaining)
-        lo, index, taken, nxt = raw_batch(n)
-        took = len(index)
-        self._remaining -= took
-        self.consumed += took
-        return walker, lo, index, taken, nxt
+        if not self._replay or n <= 0:
+            return None
+        lo, index = self._walker.raw_batch(n)
+        self._advance(n, len(index))
+        return self._walker, lo, index
 
-    def skip(self, count: int, warm: tuple | None = None,
-             profile: dict | None = None) -> int:
+    def skip(self, count: int, profile: dict | None = None) -> int:
         """Fast-forward past up to ``count`` instructions; returns how many.
 
-        Buffered (already-walked) instructions are discarded first; the
-        remainder uses the walker's allocation-free :meth:`StreamWalker.skip`
-        when available.  ``consumed`` advances exactly as if the
-        instructions had been taken, so interleaving ``skip`` with ``take``
-        or ``take_batch`` keeps the stream budget coherent.
-
-        ``warm`` — a ``(fetch, touch, train, line_shift)`` tuple — routes
-        the fast-forward through :meth:`StreamWalker.warm_skip`, training
-        caches and the branch predictor while skipping.
-
-        ``profile`` counts the resolved successor of every dynamic CTI in
-        the skipped window into the given mapping (buffered instructions
-        included), on the plain and the warmed path alike — the adaptive
-        sampler's phase-signature observer.  Identical windows produce
-        identical profiles on every path (plain/warm, walker/artifact
-        replay); foreign duck-typed walkers must accept
-        ``skip(count, profile)`` to be profiled.
+        No instruction is materialised; ``consumed`` advances exactly as
+        if they had been taken.  ``profile`` counts the resolved successor
+        of every dynamic CTI in the skipped window into the given mapping
+        — the adaptive sampler's phase-signature observer, identical for
+        identical windows on both walkers.
         """
-        if warm is not None and profile is not None:
-            # Route warm-path profiling through the train callback: every
-            # dynamic CTI trains exactly once on the warmed walk, so
-            # wrapping train observes the same successor sequence a plain
-            # profiled skip of the window would.
-            fetch, touch, train, line_shift = warm
+        n = min(count, self._remaining)
+        if n <= 0:
+            return 0
+        return self._advance(n, self._walker.skip(n, profile))
 
-            def train(instr, taken, next_address, _train=train,
-                      _profile=profile):
-                if instr.flow_code in _DYN_CTI_FLOWS:
-                    _profile[next_address] = _profile.get(next_address, 0) + 1
-                _train(instr, taken, next_address)
+    def warm_skip(self, count: int, fetch, touch, train,
+                  line_shift: int = 6) -> int:
+        """:meth:`skip` with functional warming; returns how many skipped.
 
-            warm = (fetch, touch, train, line_shift)
-        skipped = 0
-        buffer = self._buffer
-        last_line = -1
-        while buffer and skipped < count:
-            dyn = buffer.popleft()
-            if warm is not None:
-                fetch, touch, train, line_shift = warm
-                instr = dyn.instr
-                line = instr.address >> line_shift
-                if line != last_line:
-                    fetch(instr.address)
-                    last_line = line
-                if dyn.mem_addr is not None:
-                    touch(dyn.mem_addr)
-                if instr.is_cti:
-                    train(instr, dyn.taken, dyn.next_address)
-            elif (profile is not None
-                    and dyn.instr.flow_code in _DYN_CTI_FLOWS):
-                profile[dyn.next_address] = (
-                    profile.get(dyn.next_address, 0) + 1
-                )
-            skipped += 1
-        n = count - skipped
-        if n > self._remaining:
-            n = self._remaining
-        if n > 0:
-            walker = self._walker
-            if warm is not None:
-                walker_skip = getattr(walker, "warm_skip", None)
-                if walker_skip is not None:
-                    fetch, touch, train, line_shift = warm
-                    n = walker_skip(n, fetch, touch, train, line_shift)
-                    self._remaining -= n
-                    skipped += n
-                    self.consumed += skipped
-                    return skipped
-            walker_skip = getattr(walker, "skip", None)
-            if walker_skip is not None:
-                if profile is not None:
-                    n = walker_skip(n, profile)
-                else:
-                    n = walker_skip(n)
-            else:
-                done = 0
-                try:
-                    for _ in range(n):
-                        dyn = next(walker)
-                        if (profile is not None
-                                and dyn.instr.flow_code in _DYN_CTI_FLOWS):
-                            profile[dyn.next_address] = (
-                                profile.get(dyn.next_address, 0) + 1
-                            )
-                        done += 1
-                except StopIteration:
-                    self._remaining = done
-                n = done
-            self._remaining -= n
-            skipped += n
-        self.consumed += skipped
-        return skipped
+        ``fetch(address)`` probes once per new instruction-cache line
+        (``line_shift`` = log2 of the line size), ``touch(mem_addr)`` once
+        per memory access and ``train(instr, taken, next_address)`` once
+        per trainable CTI, in the walker's per-instruction effect order
+        (see :meth:`StreamWalker.warm_skip`).
+        """
+        n = min(count, self._remaining)
+        if n <= 0:
+            return 0
+        return self._advance(
+            n, self._walker.warm_skip(n, fetch, touch, train, line_shift)
+        )

@@ -6,19 +6,32 @@ for this reproduction — capture any dynamic stream (synthetic or
 otherwise) into a compact ``.npz`` trace file, and replay it later without
 the generating program:
 
+    >>> from repro.core.simulator import ParrotSimulator, RunOptions
+    >>> from repro.models.configs import model_config
+    >>> from repro.sampling.config import SamplingConfig
     >>> from repro.workloads import application
     >>> from repro.workloads.tracefile import capture_trace, TraceFile
     >>> wl = application("swim").build()
-    >>> capture_trace(wl.stream(100_000), "swim.trace.npz")
+    >>> capture_trace(wl.stream(200_000), "swim.trace.npz")
+    200000
     >>> trace = TraceFile.load("swim.trace.npz")
-    >>> result = ParrotSimulator(config).simulate(
-    ...     trace.stream(), app_name="swim")
+    >>> sim = ParrotSimulator(model_config("TON"))
+    >>> full = sim.simulate(trace.stream(), app_name="swim",
+    ...                     program=wl.program)
+    >>> sampled = sim.simulate(trace.stream(),
+    ...                        RunOptions(sampling=SamplingConfig()),
+    ...                        app_name="swim", program=wl.program,
+    ...                        length=len(trace))
 
 A trace file is self-contained: it stores the static image of every
 *executed* instruction (addresses, lengths, classes, complete uop
 encodings) plus the dynamic record (instruction index, branch outcome,
 successor, effective memory address), so third-party traces can be
-converted into this format and run on all machine models.
+converted into this format and run on all machine models.  A loaded trace
+replays through the same :class:`ArtifactReplayWalker` as a compiled
+artifact, so sampled runs fast-forward and functionally warm exactly like
+runs over the generating walker (``program=`` only prewarms the
+hierarchy; without it the run starts cold).
 
 The second half of this module is the **compiled trace artifact** layer
 used by the experiment engine's grid fast path.  Every machine model of an
@@ -60,7 +73,6 @@ from repro.isa.opcodes import (
     InstrClass,
     UopKind,
 )
-from repro.isa.registers import REG_NONE
 from repro.workloads.stream import _DYN_CTI_FLOWS, InstructionStream
 
 #: Trace-file format version (stored in the archive for forward safety).
@@ -75,6 +87,19 @@ ARTIFACT_SCHEMA_VERSION = 1
 _NO_MEM = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 #: Sentinel for "no immediate" in the uop imm column.
 _NO_IMM = np.int64(-(1 << 62))
+
+#: Dynamic-record row layout: one row per dynamic instruction, ``mem``
+#: using :data:`_NO_MEM` for "no access".  An artifact's ``dyn.npy`` holds
+#: it on disk; a loaded trace file holds it in memory.
+_DYN_DTYPE = np.dtype([
+    ("index", np.uint32),
+    ("taken", np.bool_),
+    ("next", np.uint64),
+    ("mem", np.uint64),
+])
+
+#: Instructions pulled per bulk step while recording a stream.
+_COMPILE_BATCH = 4096
 
 
 def _static_arrays(statics: list[MacroInstruction]) -> dict[str, "np.ndarray"]:
@@ -168,15 +193,18 @@ def capture_trace(
     records: list[tuple[int, bool, int, int | None]] = []
     static_index: dict[int, int] = {}
     statics: list[MacroInstruction] = []
-    while not stream.exhausted:
-        dyn = stream.take()
-        address = dyn.address
-        index = static_index.get(address)
-        if index is None:
-            index = len(statics)
-            static_index[address] = index
-            statics.append(dyn.instr)
-        records.append((index, dyn.taken, dyn.next_address, dyn.mem_addr))
+    while True:
+        batch = stream.take_batch(_COMPILE_BATCH)
+        if not batch:
+            break
+        for dyn in batch:
+            address = dyn.address
+            index = static_index.get(address)
+            if index is None:
+                index = len(statics)
+                static_index[address] = index
+                statics.append(dyn.instr)
+            records.append((index, dyn.taken, dyn.next_address, dyn.mem_addr))
     if not records:
         raise WorkloadError("cannot capture an empty stream")
 
@@ -199,16 +227,27 @@ def capture_trace(
 
 
 class TraceFile:
-    """A loaded execution trace, replayable as an instruction stream."""
+    """A loaded execution trace, replayable as an instruction stream.
+
+    The dynamic rows are held as an in-memory :class:`TraceArtifact`
+    record, so :meth:`stream` replays through the same
+    :class:`ArtifactReplayWalker` as a compiled artifact: full detail,
+    fast-forward, functional warming and the columnar warmup path are
+    bit-identical to a run over the generating walker.  A trace file
+    carries no program image; pass ``program=`` to
+    :meth:`~repro.core.simulator.ParrotSimulator.simulate` to prewarm the
+    hierarchy, or prewarm from :meth:`code_addresses` and
+    :meth:`touched_data_ranges`.
+    """
 
     def __init__(self, instructions: list[MacroInstruction],
-                 records: "np.ndarray", taken: "np.ndarray",
-                 next_addresses: "np.ndarray", mem: "np.ndarray"):
+                 dyn: "np.ndarray"):
         self.instructions = instructions
-        self._index = records
-        self._taken = taken
-        self._next = next_addresses
-        self._mem = mem
+        self._record = TraceArtifact(
+            None, app_name="trace", suite="Custom", seed=None,
+            length=len(dyn), instructions=instructions,
+            prewarm_code=[], prewarm_data=[], dyn=dyn,
+        )
 
     # -- construction ---------------------------------------------------------
 
@@ -222,41 +261,27 @@ class TraceFile:
                     f"trace file {path}: format version {version} unsupported"
                 )
             instructions = _decode_statics(data)
-            return cls(
-                instructions,
-                data["d_index"].copy(),
-                data["d_taken"].copy(),
-                data["d_next"].copy(),
-                data["d_mem"].copy(),
-            )
+            index = data["d_index"]
+            dyn = np.empty(len(index), dtype=_DYN_DTYPE)
+            dyn["index"] = index
+            dyn["taken"] = data["d_taken"]
+            dyn["next"] = data["d_next"]
+            dyn["mem"] = data["d_mem"]
+        return cls(instructions, dyn)
 
     # -- replay ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._index)
-
-    def _iterate(self):
-        instructions = self.instructions
-        no_mem = int(_NO_MEM)
-        for i in range(len(self._index)):
-            mem = int(self._mem[i])
-            yield DynamicInstruction(
-                instructions[int(self._index[i])],
-                taken=bool(self._taken[i]),
-                next_address=int(self._next[i]),
-                mem_addr=None if mem == no_mem else mem,
-            )
+        return len(self._record)
 
     def stream(self, limit: int | None = None) -> InstructionStream:
         """Replay the trace as an :class:`InstructionStream`."""
-        n = len(self)
-        if limit is None or limit > n:
-            limit = n
-        return InstructionStream(self._iterate(), limit)
+        return self._record.stream(limit)
 
     def touched_data_ranges(self, line_bytes: int = 64) -> list[tuple[int, int]]:
         """Line-granular data ranges touched by the trace (for prewarming)."""
-        valid = self._mem[self._mem != _NO_MEM]
+        mem = self._record._dyn["mem"]
+        valid = mem[mem != _NO_MEM]
         if valid.size == 0:
             return []
         lines = np.unique(valid // line_bytes)
@@ -269,18 +294,6 @@ class TraceFile:
 
 # -- compiled trace artifacts --------------------------------------------------
 
-
-#: Dynamic-record row layout of an artifact's ``dyn.npy`` (one row per
-#: dynamic instruction; ``mem`` uses :data:`_NO_MEM` for "no access").
-_DYN_DTYPE = np.dtype([
-    ("index", np.uint32),
-    ("taken", np.bool_),
-    ("next", np.uint64),
-    ("mem", np.uint64),
-])
-
-#: Instructions pulled per bulk step while compiling an artifact.
-_COMPILE_BATCH = 4096
 
 #: What :meth:`TraceArtifact.load` raises for an absent, torn, truncated
 #: or foreign artifact directory; the cache treats every one as a miss.
@@ -316,7 +329,11 @@ def artifact_key(app_name: str, seed: int, length: int) -> str:
 
 
 class ArtifactReplayWalker:
-    """Replay an artifact's dynamic record through the walker interface.
+    """Replay a recorded dynamic record through the walker interface.
+
+    The record is a compiled artifact's ``dyn.npy`` or a loaded trace
+    file's rows; this is the only walker besides the generating one that
+    an :class:`~repro.workloads.stream.InstructionStream` accepts.
 
     Implements the same bulk surface as
     :class:`~repro.workloads.stream.StreamWalker` — ``next_batch``,
@@ -350,18 +367,6 @@ class ArtifactReplayWalker:
         self._total = len(artifact)
         self.executed = 0
 
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> DynamicInstruction:
-        i = self._pos
-        if i >= self._total:
-            raise StopIteration
-        (dyn,) = self.materialize(i, i + 1)
-        self._pos = i + 1
-        self.executed += 1
-        return dyn
-
     def next_batch(self, count: int) -> list[DynamicInstruction]:
         """Decode ``count`` recorded instructions in one call, in order."""
         i = self._pos
@@ -374,26 +379,20 @@ class ArtifactReplayWalker:
         return out
 
     def raw_batch(self, count: int):
-        """Consume up to ``count`` rows as raw column slices.
+        """Consume up to ``count`` rows without decoding them.
 
-        Returns ``(lo, index, taken, next)`` — the global row number of
-        the first consumed row plus plain-list slices of the three
-        columns segment selection reads — without decoding any
-        :class:`DynamicInstruction`.  The columnar-warmup fast path pairs
-        this with :meth:`select_tables`, :meth:`scan_tables` and
+        Returns ``(lo, index)`` — the global row number of the first
+        consumed row and a plain-list slice of the static-table index
+        column — without building any :class:`DynamicInstruction`.  The
+        columnar-warmup fast path pairs this with
+        :meth:`static_addresses`, :meth:`scan_tables` and
         :meth:`materialize`.
         """
         i = self._pos
         end = min(i + count, self._total)
         self._pos = end
         self.executed += end - i
-        rows = self._raw[i:end]
-        return (
-            i,
-            rows["index"].tolist(),
-            rows["taken"].tolist(),
-            rows["next"].tolist(),
-        )
+        return i, self._raw["index"][i:end].tolist()
 
     def materialize(self, lo: int, hi: int) -> list[DynamicInstruction]:
         """Decode recorded rows ``[lo, hi)`` independently of the cursor.
@@ -416,16 +415,13 @@ class ArtifactReplayWalker:
             )
         ]
 
-    def select_tables(self):
-        """Static per-instruction tables for columnar selection.
+    def static_addresses(self) -> list[int]:
+        """Instruction address per static-table index (columnar selection).
 
-        Returns ``(instructions, addresses, flow_codes, uop_counts)``,
-        indexed by the static-table index carried in the ``index``
-        column.  Shared with the owning artifact, so the decode cost is
-        paid once per loaded artifact, not per walker.
+        Shared with the owning artifact, so the table is built once per
+        loaded record, not per walker.
         """
-        addresses, flow, uops = self._artifact._select_tables()
-        return self._instructions, addresses, flow, uops
+        return self._artifact._addresses()
 
     def scan_tables(self, lo: int, hi: int):
         """Selection-scan tables of rows ``[lo, hi)`` (boundary jumping).
@@ -608,12 +604,15 @@ class TraceArtifact:
     it reads — so memory follows the windows a run touches, not the
     record's length, and pool workers replaying the same application
     share the record's pages through the page cache.
+
+    A loaded :class:`TraceFile` keeps its rows in one too, held in memory
+    with an empty prewarm image, and replays through the same walker.
     """
 
     __slots__ = (
         "path", "app_name", "suite", "seed", "length",
         "instructions", "prewarm_code", "prewarm_data",
-        "_dyn", "_select", "_np", "_segments",
+        "_dyn", "_addr", "_np", "_segments",
     )
 
     def __init__(self, path, *, app_name, suite, seed, length,
@@ -627,7 +626,7 @@ class TraceArtifact:
         self.prewarm_code = prewarm_code
         self.prewarm_data = prewarm_data
         self._dyn = dyn
-        self._select = None
+        self._addr = None
         self._np = None
         self._segments = None
 
@@ -672,15 +671,11 @@ class TraceArtifact:
     def __len__(self) -> int:
         return self.length
 
-    def _select_tables(self) -> tuple[list[int], list[int], list[int]]:
-        """Per-static address, flow-code and uop-count tables (selection)."""
-        if self._select is None:
-            self._select = (
-                [instr.address for instr in self.instructions],
-                [instr.flow_code for instr in self.instructions],
-                [instr.num_uops for instr in self.instructions],
-            )
-        return self._select
+    def _addresses(self) -> list[int]:
+        """Instruction address per static-table index."""
+        if self._addr is None:
+            self._addr = [instr.address for instr in self.instructions]
+        return self._addr
 
     def _np_tables(self):
         """Per-static numpy tables for vectorized window scans.
@@ -695,12 +690,15 @@ class TraceArtifact:
         training (every CTI class, mirroring ``MacroInstruction.is_cti``).
         """
         if self._np is None:
-            addresses, flow, uops = self._select_tables()
-            flow_np = np.array(flow, dtype=np.int8)
+            instructions = self.instructions
+            flow_np = np.array(
+                [instr.flow_code for instr in instructions], dtype=np.int8
+            )
             self._np = (
-                np.array(addresses, dtype=np.uint64),
+                np.array(self._addresses(), dtype=np.uint64),
                 flow_np,
-                np.array(uops, dtype=np.int64),
+                np.array([instr.num_uops for instr in instructions],
+                         dtype=np.int64),
                 (flow_np >= 1) & (flow_np <= 5),
                 flow_np != 0,
             )

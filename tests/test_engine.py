@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import pathlib
 import shutil
+import sys
+import threading
 import time
 from argparse import Namespace
 from pathlib import Path
@@ -419,6 +421,62 @@ class TestEngine:
         engine.run([("N", "gzip")])  # second pass: a store hit
         assert [c[3] for c in seen] == ["run", "store"]
         assert all(c[2].startswith("shard 2/3:N/gzip") for c in seen)
+
+    def test_serial_path_calls_task_fn_once_per_cell(self):
+        calls = []
+
+        def spy(model, app, length):
+            calls.append((model, app))
+            return _dummy_result(model, app, length).to_dict()
+
+        tasks = [("N", "gzip"), ("TON", "gzip"), ("N", "swim")]
+        engine = ExperimentEngine(100, jobs=1, task_fn=spy)
+        results = engine.run(tasks)
+        assert sorted(calls) == sorted(tasks)
+        assert results[("N", "swim")] == _dummy_result("N", "swim", 100)
+        assert engine.simulations_run == len(tasks)
+        # A single missing cell runs serially even with jobs > 1.
+        calls.clear()
+        ExperimentEngine(100, jobs=2, task_fn=spy).run([("W", "gzip")])
+        assert calls == [("W", "gzip")]
+
+    def test_concurrent_serial_passes_keep_their_own_accounting(
+        self, tmp_path
+    ):
+        """Serial passes on several threads share the in-process memos.
+
+        Each engine must still resolve its artifact exactly once — a hit
+        or a compile, never another thread's — and return the same grid.
+        """
+        tasks = [("N", "gzip"), ("TON", "gzip")]
+        outcomes, errors = [], []
+
+        def run():
+            try:
+                engine = ExperimentEngine(600, artifact_root=tmp_path)
+                results = engine.run(tasks)
+                outcomes.append(
+                    (engine.artifact_hits, engine.artifact_compiles, results)
+                )
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(hits + compiles for hits, compiles, _ in outcomes) \
+            == [1, 1, 1, 1]
+        assert sum(compiles for _, compiles, _ in outcomes) == 1
+        assert all(results == outcomes[0][2] for _, _, results in outcomes)
 
     def test_duplicate_tasks_run_once(self):
         engine = ExperimentEngine(1200)

@@ -23,6 +23,7 @@ from repro.sampling import (
     student_t,
 )
 from repro.workloads.suite import application
+from repro.workloads.tracefile import TraceFile, capture_trace, compile_artifact
 
 #: The golden pairs of the acceptance criteria.
 GOLDEN_PAIRS = (("swim", "TON"), ("gcc", "N"), ("eon", "TOW"))
@@ -199,11 +200,17 @@ class TestSkipIdentity:
                 assert got.mem_addr == want.mem_addr
 
     @pytest.mark.parametrize("app_name", ["gcc", "eon"])
-    def test_warm_skip_effects_match_reference(self, app_name):
-        app = application(app_name)
-        count, line_shift = 7000, 6
+    def test_warm_skip_effects_match_reference(self, app_name, tmp_path):
+        """Every walker warms exactly like a materialised walk.
 
-        reference, log_ref, last_line = app.build().stream(20_000), [], -1
+        The generating walker, a compiled artifact and a loaded trace file
+        must each log the reference effect sequence over the same window
+        and then continue with the identical stream.
+        """
+        app = application(app_name)
+        count, length, line_shift = 7000, 20_000, 6
+
+        reference, log_ref, last_line = app.build().stream(length), [], -1
         for dyn in reference.take_batch(count):
             instr = dyn.instr
             line = instr.address >> line_shift
@@ -215,19 +222,32 @@ class TestSkipIdentity:
                                 dyn.next_address))
             if dyn.mem_addr is not None:
                 log_ref.append(("touch", dyn.mem_addr))
+        tail_ref = reference.take_batch(500)
 
-        warmed, log = app.build().stream(20_000), []
-        warmed.skip(count, warm=(
-            lambda a: log.append(("fetch", a)),
-            lambda a: log.append(("touch", a)),
-            lambda i, t, n: log.append(("train", i.address, t, n)),
-            line_shift,
-        ))
-        assert log == log_ref
-        # The walker itself must end in the identical state too.
-        for got, want in zip(warmed.take_batch(500), reference.take_batch(500)):
-            assert got.instr.address == want.instr.address
-            assert got.mem_addr == want.mem_addr
+        trace_path = tmp_path / f"{app_name}.trace.npz"
+        capture_trace(app.build().stream(length), trace_path)
+        sources = {
+            "generator": app.build().stream(length),
+            "artifact": compile_artifact(
+                app, app.seed, length, root=tmp_path / "artifacts"
+            ).stream(),
+            "trace-file": TraceFile.load(trace_path).stream(),
+        }
+        for source, warmed in sources.items():
+            log = []
+            assert warmed.warm_skip(
+                count,
+                lambda a: log.append(("fetch", a)),
+                lambda a: log.append(("touch", a)),
+                lambda i, t, n: log.append(("train", i.address, t, n)),
+                line_shift,
+            ) == count, source
+            assert log == log_ref, source
+            # The walker itself must end in the identical state too.
+            tail = warmed.take_batch(500)
+            assert [(d.instr.address, d.mem_addr) for d in tail] == [
+                (d.instr.address, d.mem_addr) for d in tail_ref
+            ], source
 
 
 # -- end-to-end sampled simulation -------------------------------------------

@@ -11,8 +11,8 @@ Three contracts, in the style of ``tests/test_optimizer_property.py``:
   plain block-compiled walk, the functionally warmed walk and artifact
   replay produce the same profile for the same window, so classifier
   state round-trips through ``skip``/``warm_skip`` without divergence;
-* :class:`~repro.trace.selection.ColumnarSelector` (both its
-  boundary-jumping window scan and its per-row mirror loop) segments a
+* :class:`~repro.trace.selection.ColumnarSelector` (its
+  boundary-jumping window scan) segments a
   recorded stream exactly like the reference :class:`TraceSelector` —
   for windows opening at any row, delivered in one batch or many, up to
   the record's last row — including the in-progress state handed over
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.sampling.phases import PhaseClassifier, PhaseSignature
 from repro.trace.selection import TraceSelector
+from repro.workloads.stream import _DYN_CTI_FLOWS
 from repro.workloads.suite import application
 from repro.workloads.tracefile import compile_artifact
 
@@ -120,13 +121,21 @@ def _noop(*_args) -> None:
 
 
 def _profile_windows(stream, windows, *, warm: bool):
-    """Profile successive skip windows; returns one dict per window."""
+    """Profile successive skip windows; returns one dict per window.
+
+    The warmed walk is profiled through its training callback: it trains
+    every dynamic CTI exactly once, so counting their successors observes
+    what a profiled plain skip of the window counts.
+    """
     profiles = []
     for window in windows:
         profile: dict[int, int] = {}
         if warm:
-            stream.skip(window, warm=(_noop, _noop, _noop, 6),
-                        profile=profile)
+            def train(instr, _taken, next_address, profile=profile):
+                if instr.flow_code in _DYN_CTI_FLOWS:
+                    profile[next_address] = profile.get(next_address, 0) + 1
+
+            stream.warm_skip(window, _noop, _noop, train, 6)
         else:
             stream.skip(window, profile=profile)
         profiles.append(profile)
@@ -214,7 +223,7 @@ def _reference_scan(stream, total):
     return selector, segments, seen
 
 
-def _columnar_scan(stream, total, *, use_scan: bool, batch: int | None = None):
+def _columnar_scan(stream, total, *, batch: int | None = None):
     """Mirror ``_reference_scan`` through a ColumnarSelector + transfer.
 
     ``batch`` caps each ``consume_raw`` pull, so one window reaches the
@@ -231,18 +240,15 @@ def _columnar_scan(stream, total, *, use_scan: bool, batch: int | None = None):
         raw = stream.consume_raw(want if batch is None else min(batch, want))
         if raw is None:
             break
-        walker, lo, index, taken, nxt = raw
+        walker, lo, index = raw
         if not index:
             break
         if scanner is None:
-            _instructions, addresses, flow, uop_counts = (
-                walker.select_tables()
-            )
             scanner = selector.columnar_scanner(
-                walker.materialize, flow, uop_counts, addresses,
-                scan=(walker.scan_tables if use_scan else None),
+                walker.materialize, walker.static_addresses(),
+                walker.scan_tables,
             )
-        scanner.consume(lo, index, taken, nxt, consumed, on_segment)
+        scanner.consume(lo, index, consumed, on_segment)
         consumed += len(index)
     if scanner is not None:
         scanner.transfer(selector)
@@ -262,7 +268,7 @@ def _segment_key(segment, position):
 
 
 def _assert_window_matches_reference(artifact, start, total, *,
-                                     use_scan, batch=None):
+                                     batch=None):
     """Scan rows ``[start, start + total)`` both ways and compare.
 
     The segments, their window-relative positions, the termination
@@ -275,7 +281,7 @@ def _assert_window_matches_reference(artifact, start, total, *,
     assert ref_stream.skip(start) == col_stream.skip(start)
     ref_sel, ref_segments, ref_seen = _reference_scan(ref_stream, total)
     col_sel, col_segments, col_seen = _columnar_scan(
-        col_stream, total, use_scan=use_scan, batch=batch
+        col_stream, total, batch=batch
     )
     assert col_seen == ref_seen
     assert (
@@ -312,14 +318,11 @@ class TestColumnarSelectorEquivalence:
     @given(
         app_name=st.sampled_from(APPS),
         total=st.integers(min_value=64, max_value=REPLAY_LENGTH),
-        use_scan=st.booleans(),
     )
     def test_segments_and_transferred_state_match_reference(
-        self, replay, app_name, total, use_scan
+        self, replay, app_name, total
     ):
-        _assert_window_matches_reference(
-            replay[app_name], 0, total, use_scan=use_scan
-        )
+        _assert_window_matches_reference(replay[app_name], 0, total)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -327,40 +330,30 @@ class TestColumnarSelectorEquivalence:
         start=st.integers(min_value=1, max_value=REPLAY_LENGTH - 64),
         total=st.integers(min_value=64, max_value=3000),
         batch=st.one_of(st.none(), st.integers(min_value=1, max_value=700)),
-        use_scan=st.booleans(),
     )
     def test_window_after_skip_in_batches_matches_reference(
-        self, replay, app_name, start, total, batch, use_scan
+        self, replay, app_name, start, total, batch
     ):
         """Windows opening mid-record, delivered in one or many batches."""
         _assert_window_matches_reference(
-            replay[app_name], start, total, use_scan=use_scan, batch=batch
+            replay[app_name], start, total, batch=batch
         )
 
     @pytest.mark.parametrize("batch", [None, 1, 97])
-    @pytest.mark.parametrize("use_scan", [True, False])
     def test_window_ending_at_the_last_row_matches_reference(
-        self, replay, batch, use_scan
+        self, replay, batch
     ):
         """A window whose final row is the record's last row."""
         for app_name in APPS:
             total = 1777
             _assert_window_matches_reference(
-                replay[app_name], REPLAY_LENGTH - total, total,
-                use_scan=use_scan, batch=batch,
+                replay[app_name], REPLAY_LENGTH - total, total, batch=batch,
             )
 
-    def test_scan_and_row_paths_agree_on_the_whole_record(self, replay):
-        """The boundary-jumping scan equals the per-row mirror loop."""
+    @pytest.mark.parametrize("batch", [None, 4096])
+    def test_scan_matches_reference_on_the_whole_record(self, replay, batch):
+        """The whole record, in one window or in warmup-sized batches."""
         for app_name in APPS:
-            artifact = replay[app_name]
-            _sel_rows, rows, _ = _columnar_scan(
-                artifact.stream(), REPLAY_LENGTH, use_scan=False
-            )
-            _sel_scan, scan, _ = _columnar_scan(
-                artifact.stream(), REPLAY_LENGTH, use_scan=True
-            )
-            assert (
-                [_segment_key(s, p) for s, p in scan]
-                == [_segment_key(s, p) for s, p in rows]
+            _assert_window_matches_reference(
+                replay[app_name], 0, REPLAY_LENGTH, batch=batch,
             )

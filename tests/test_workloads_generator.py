@@ -146,23 +146,12 @@ class TestStreamWalking:
 
 
 class TestInstructionStream:
-    def test_peek_does_not_consume(self, fp_workload):
-        stream = fp_workload.stream(100)
-        first = stream.peek(0)
-        second = stream.peek(1)
-        assert stream.consumed == 0
-        assert stream.take() is first
-        assert stream.take() is second
-
-    def test_take_many_respects_limit(self, fp_workload):
+    def test_take_batch_respects_limit(self, fp_workload):
         stream = fp_workload.stream(10)
-        got = stream.take_many(50)
+        got = stream.take_batch(50)
         assert len(got) == 10
         assert stream.exhausted
-
-    def test_peek_past_end_returns_none(self, fp_workload):
-        stream = fp_workload.stream(5)
-        assert stream.peek(10) is None
+        assert stream.take_batch(1) == []
 
     def test_take_on_exhausted_raises(self, fp_workload):
         stream = fp_workload.stream(1)
@@ -172,8 +161,14 @@ class TestInstructionStream:
 
     @given(st.integers(-5, 0))
     def test_nonpositive_limit_rejected(self, limit):
-        with pytest.raises(WorkloadError):
-            InstructionStream(iter([]), limit)
+        walker = SyntheticWorkload(specint_profile("prop"), seed=5).walker()
+        with pytest.raises(WorkloadError, match="limit"):
+            InstructionStream(walker, limit)
+
+    def test_foreign_iterator_rejected(self):
+        """Only the generating and the record-replaying walker stream."""
+        with pytest.raises(WorkloadError, match="list_iterator"):
+            InstructionStream(iter([]), 5)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 400))

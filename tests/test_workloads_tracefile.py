@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.simulator import ParrotSimulator
+from repro.core.simulator import ParrotSimulator, RunOptions
 from repro.errors import WorkloadError
 from repro.models.configs import model_config
-from repro.workloads.stream import InstructionStream
+from repro.sampling.config import SamplingConfig
+from repro.workloads.suite import application
 from repro.workloads.tracefile import TraceFile, capture_trace
+
+#: Sampled trace-file runs: long enough for six adaptive sampling periods,
+#: so the adaptive regime runs phase-aware rather than falling back.
+SAMPLED_LENGTH = 90_000
 
 
 @pytest.fixture()
@@ -106,3 +111,40 @@ class TestReplaySimulation:
         sim = ParrotSimulator(model_config("N"))
         result = sim.simulate(trace.stream(), app_name="standalone")
         assert result.instructions == len(trace)
+
+
+class TestSampledReplay:
+    """Sampled runs over a trace file equal the same runs over the generator.
+
+    A trace file replays through the artifact walker, so its fast-forward
+    functionally warms caches and predictors exactly like the generating
+    walker's does — with any warming skipped, IPC drifts far from the
+    generator-driven value.
+    """
+
+    @pytest.fixture(scope="class")
+    def gcc_trace(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("sampled-trace") / "gcc.trace.npz"
+        workload = application("gcc").build()
+        capture_trace(workload.stream(SAMPLED_LENGTH), path)
+        return workload, TraceFile.load(path)
+
+    @pytest.mark.filterwarnings("ignore::repro.errors.SamplingWarning")
+    @pytest.mark.parametrize("sampling", [
+        SamplingConfig(), SamplingConfig.adaptive(),
+    ], ids=["fixed", "adaptive"])
+    def test_sampled_trace_run_matches_generator_run(self, gcc_trace,
+                                                      sampling):
+        workload, trace = gcc_trace
+        assert SAMPLED_LENGTH // sampling.period >= sampling.min_intervals
+        sim = ParrotSimulator(model_config("TON"))
+        options = RunOptions(sampling=sampling)
+        live = sim.simulate(
+            workload.stream(SAMPLED_LENGTH), options, app_name="gcc",
+            program=workload.program, length=SAMPLED_LENGTH,
+        )
+        replayed = sim.simulate(
+            trace.stream(), options, app_name="gcc",
+            program=workload.program, length=SAMPLED_LENGTH,
+        )
+        assert replayed == live
